@@ -183,8 +183,10 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
 
     The rephasing is propagated along the canonical spanning tree with the
     gauge rho[r+1] = 1; the global phase then normalizes the value on
-    {1, ..., r} to 1.  Requires {1..r} to be a basis and the associated
-    bipartite graph to be connected (direct sums are rejected).
+    {1, ..., r} to 1.  Requires phi to satisfy the Grassmann-Pluecker
+    relations (validated and matrix-born phirotopes do), {1..r} to be a basis
+    and the associated bipartite graph to be connected (direct sums are
+    rejected).
     """
     r, n = phi.r, phi.n
     matroid = underlying_matroid(phi)
@@ -194,6 +196,7 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")
 
+    # one component: the walk from r+1 below reaches every vertex
     first_value = phi.value(range(1, r + 1))
     # tree edge (i, j) forces rho[j] - rho[i] = ang(phi(1..r)) - ang(entry_phase)
     adjacency = {v: [] for v in range(1, n + 1)}
@@ -209,8 +212,6 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
             if w not in rho_angle:
                 rho_angle[w] = rho_angle[v] + delta
                 stack.append(w)
-    if len(rho_angle) != n:
-        raise DisconnectedGraphError("spanning tree does not reach every vertex")
 
     rho = Rephasing(tuple(Phase.from_angle(rho_angle[k]) for k in range(1, n + 1)))
     alpha = Phase.from_angle(-first_value.angle - sum(rho_angle[k] for k in range(1, r + 1)))

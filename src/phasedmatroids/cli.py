@@ -12,9 +12,8 @@ import argparse
 import hashlib
 import json
 import sys
-from importlib import metadata
 
-from . import jsonio
+from . import __version__, jsonio
 from .canonical import (
     associated_bipartite_graph,
     canonical_spanning_forest,
@@ -25,18 +24,12 @@ from .errors import (
     DisconnectedGraphError,
     FirstSubsetNotBasisError,
     InvalidPhirotopeError,
-    NotAMatroidError,
     PhasedMatroidError,
     RankDeficientError,
 )
 from .phases import Tolerance
 from .phirotopes import from_matrix, underlying_matroid
 from .realization import NOT_A_PHIROTOPE, NotRealizable, Unsupported, decide_realizability, verify
-
-try:
-    VERSION = metadata.version("phased-matroids")
-except metadata.PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -48,7 +41,7 @@ def _provenance(raw: bytes, tol: Tolerance) -> dict:
     return {
         "input_sha256": hashlib.sha256(raw).hexdigest(),
         "tolerance": tol.eps,
-        "version": VERSION,
+        "version": __version__,
     }
 
 
@@ -133,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="angular tolerance in radians (default 1e-9)")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; output is identical for any value")
     return parser
 
 
@@ -175,7 +166,7 @@ def run(argv=None) -> int:
     except InvalidPhirotopeError as exc:
         emit({"error": str(exc), "violations": _violations_json(exc.violations)})
         return EXIT_NEGATIVE
-    except (DisconnectedGraphError, FirstSubsetNotBasisError, NotAMatroidError) as exc:
+    except (DisconnectedGraphError, FirstSubsetNotBasisError) as exc:
         emit({"error": str(exc)})
         return EXIT_UNSUPPORTED
     except (RankDeficientError, PhasedMatroidError) as exc:

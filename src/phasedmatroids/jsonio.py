@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any, Optional
 
 import numpy as np
@@ -37,15 +38,20 @@ def phase_to_json(p: Phase) -> Optional[dict]:
     return {"angle_over_pi": p.angle_over_pi}
 
 
+def _finite(x: Any, name: str) -> float:
+    """x as a float.  Python's json also reads NaN, Infinity and integers
+    beyond the float range; all are refused."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
+        raise FormatError(f"{name} must be a finite number, got {x!r}")
+    return float(x)
+
+
 def phase_from_json(obj: Any) -> Phase:
     if obj is None:
         return Phase(None)
     if not isinstance(obj, dict) or set(obj) != {"angle_over_pi"}:
         raise FormatError(f"expected null or {{'angle_over_pi': x}}, got {obj!r}")
-    x = obj["angle_over_pi"]
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise FormatError(f"angle_over_pi must be a number, got {x!r}")
-    return Phase.from_angle_over_pi(float(x))
+    return Phase.from_angle_over_pi(_finite(obj["angle_over_pi"], "angle_over_pi"))
 
 
 def matrix_to_json(m: ComplexMatrix) -> dict:
@@ -70,8 +76,8 @@ def matrix_from_json(obj: Any) -> ComplexMatrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"matrix is missing field {exc}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1):
-        raise FormatError("matrix rows/cols must be positive integers")
+    if not (isinstance(rows, int) and isinstance(cols, int) and 1 <= rows <= cols):
+        raise FormatError("matrix rows/cols must be integers with 1 <= rows <= cols")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(f"expected {rows} entry rows")
     norms = np.zeros((rows, cols))
@@ -84,11 +90,12 @@ def matrix_from_json(obj: Any) -> ComplexMatrix:
                 continue
             if not isinstance(e, dict) or set(e) != {"norm", "angle_over_pi"}:
                 raise FormatError(f"bad entry at ({i + 1}, {j + 1}): {e!r}")
-            norm = float(e["norm"])
+            at = f"({i + 1}, {j + 1})"
+            norm = _finite(e["norm"], f"norm at {at}")
             if norm < 0.0:
-                raise FormatError(f"negative norm at ({i + 1}, {j + 1})")
+                raise FormatError(f"negative norm at {at}")
             norms[i, j] = norm
-            angles[i, j] = float(e["angle_over_pi"]) * math.pi
+            angles[i, j] = _finite(e["angle_over_pi"], f"angle_over_pi at {at}") * math.pi
     return ComplexMatrix(norms, angles)
 
 
@@ -139,18 +146,6 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
 
 def forest_to_json(forest: SpanningForest) -> list:
     return [list(e) for e in forest.edges]
-
-
-def forest_from_json(obj: Any) -> tuple:
-    if not isinstance(obj, list):
-        raise FormatError("forest must be a list of [i, j] pairs")
-    edges = []
-    for e in obj:
-        if (not isinstance(e, list) or len(e) != 2
-                or any(not isinstance(k, int) for k in e)):
-            raise FormatError(f"bad forest edge {e!r}")
-        edges.append((e[0], e[1]))
-    return tuple(edges)
 
 
 def rephasing_to_json(rho: Rephasing) -> list:

@@ -97,21 +97,21 @@ class ComplexMatrix:
         return float(np.abs(self.to_complex() - other.to_complex()).max())
 
 
-def _det(block: np.ndarray) -> complex:
-    """Determinant of a square complex block: cofactor expansion up to 3x3,
-    LU with partial pivoting (LAPACK) beyond."""
-    r = block.shape[0]
+def _dets(stacked: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square complex blocks, shape (k, r, r):
+    cofactor expansion up to 3x3, LU with partial pivoting (LAPACK) beyond."""
+    r = stacked.shape[1]
     if r == 1:
-        return complex(block[0, 0])
+        return stacked[:, 0, 0]
     if r == 2:
-        return complex(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+        return stacked[:, 0, 0] * stacked[:, 1, 1] - stacked[:, 0, 1] * stacked[:, 1, 0]
     if r == 3:
-        return complex(
-            block[0, 0] * (block[1, 1] * block[2, 2] - block[1, 2] * block[2, 1])
-            - block[0, 1] * (block[1, 0] * block[2, 2] - block[1, 2] * block[2, 0])
-            + block[0, 2] * (block[1, 0] * block[2, 1] - block[1, 1] * block[2, 0])
+        return (
+            stacked[:, 0, 0] * (stacked[:, 1, 1] * stacked[:, 2, 2] - stacked[:, 1, 2] * stacked[:, 2, 1])
+            - stacked[:, 0, 1] * (stacked[:, 1, 0] * stacked[:, 2, 2] - stacked[:, 1, 2] * stacked[:, 2, 0])
+            + stacked[:, 0, 2] * (stacked[:, 1, 0] * stacked[:, 2, 1] - stacked[:, 1, 1] * stacked[:, 2, 0])
         )
-    return complex(np.linalg.det(block))
+    return np.linalg.det(stacked)
 
 
 def maximal_minor(m: ComplexMatrix, columns) -> complex:
@@ -128,7 +128,7 @@ def maximal_minor(m: ComplexMatrix, columns) -> complex:
     if len(set(cols)) != len(cols):
         return 0j
     block = m.to_complex()[:, [j - 1 for j in cols]]
-    return _det(block)
+    return complex(_dets(block[None])[0])
 
 
 def all_maximal_minors(m: ComplexMatrix) -> dict[tuple, complex]:
@@ -137,19 +137,7 @@ def all_maximal_minors(m: ComplexMatrix) -> dict[tuple, complex]:
     arr = m.to_complex()
     subsets = list(itertools.combinations(range(n), r))
     stacked = arr[:, np.asarray(subsets)].transpose(1, 0, 2)  # (nsub, r, r)
-    if r == 1:
-        dets = stacked[:, 0, 0]
-    elif r == 2:
-        dets = stacked[:, 0, 0] * stacked[:, 1, 1] - stacked[:, 0, 1] * stacked[:, 1, 0]
-    elif r == 3:
-        dets = (
-            stacked[:, 0, 0] * (stacked[:, 1, 1] * stacked[:, 2, 2] - stacked[:, 1, 2] * stacked[:, 2, 1])
-            - stacked[:, 0, 1] * (stacked[:, 1, 0] * stacked[:, 2, 2] - stacked[:, 1, 2] * stacked[:, 2, 0])
-            + stacked[:, 0, 2] * (stacked[:, 1, 0] * stacked[:, 2, 1] - stacked[:, 1, 1] * stacked[:, 2, 0])
-        )
-    else:
-        dets = np.linalg.det(stacked)
-    return {tuple(j + 1 for j in sub): complex(d) for sub, d in zip(subsets, dets)}
+    return {tuple(j + 1 for j in sub): complex(d) for sub, d in zip(subsets, _dets(stacked))}
 
 
 def scale(m: ComplexMatrix, row_scalars, col_scalars) -> ComplexMatrix:
@@ -173,7 +161,7 @@ def to_standard_form(m: ComplexMatrix) -> ComplexMatrix:
     r = m.rows
     arr = m.to_complex()
     lead = arr[:, :r]
-    if abs(_det(lead)) < SINGULARITY_THRESHOLD:
+    if abs(_dets(lead[None])[0]) < SINGULARITY_THRESHOLD:
         raise SingularLeadingBlockError("columns 1..r are not a basis")
     reduced = np.linalg.solve(lead, arr)
     reduced[:, :r] = np.eye(r)

@@ -72,10 +72,10 @@ class UnderlyingMatroid:
             raise NotAMatroidError("a matroid needs at least one basis")
 
     @classmethod
-    def from_bases(cls, ground_size: int, rank: int, bases: Iterable, check: bool = True):
+    def from_bases(cls, ground_size: int, rank: int, bases: Iterable):
+        """The matroid on an arbitrary set system, after checking basis exchange."""
         m = cls(ground_size, rank, frozenset(tuple(sorted(b)) for b in bases))
-        if check:
-            m.check_exchange()
+        m.check_exchange()
         return m
 
     @property
@@ -287,13 +287,20 @@ def scale_global(phi: Phirotope, alpha: Phase) -> Phirotope:
     return Phirotope(phi.n, phi.r, values, phi.tolerance, validate=False)
 
 
-def underlying_matroid(phi: Phirotope, check: bool = True) -> UnderlyingMatroid:
-    """The matroid whose bases are the supports of the nonzero values."""
+def underlying_matroid(phi: Phirotope) -> UnderlyingMatroid:
+    """The matroid whose bases are the supports of the nonzero values.
+
+    phi must satisfy the Grassmann-Pluecker relations, as validated and
+    matrix-born phirotopes do; the basis-exchange axiom then holds and is not
+    checked again.  Proof: take bases B1, B2 and x in B1 - B2.  The relation at
+    X = B2 + {x}, Y = B1 - {x} has the nonzero term phi(B2) phi(x, Y) for x;
+    the terms for elements of Y vanish.  A lone nonzero term never has 0 in its
+    hypersum (``zero_in_hypersum_batch`` is False on every row with exactly one
+    nonzero entry, at any eps), so some y in B2 - B1 gives a nonzero term too,
+    and phi(y, Y) != 0 says B1 - {x} + {y} is a basis.
+    """
     bases = frozenset(b for b, p in phi.values.items() if not p.is_zero)
-    m = UnderlyingMatroid(phi.n, phi.r, bases)
-    if check:
-        m.check_exchange()
-    return m
+    return UnderlyingMatroid(phi.n, phi.r, bases)
 
 
 def is_uniform(phi: Phirotope) -> bool:

@@ -30,7 +30,6 @@ from .errors import (
     DegenerateTriangleError,
     DisconnectedGraphError,
     EssentiallyOrientedError,
-    FirstSubsetNotBasisError,
     InfeasibleTriangleError,
     NonSpanningForestError,
     NotCanonicalError,
@@ -253,8 +252,6 @@ def decide_realizability(phi: Phirotope,
     try:
         canon = canonicalize(phi)
     except DisconnectedGraphError as exc:
-        return Unsupported(DISCONNECTED, detail=str(exc))
-    except FirstSubsetNotBasisError as exc:  # cannot happen for uniform inputs
         return Unsupported(DISCONNECTED, detail=str(exc))
     if all(p.is_real(phi.tolerance) for p in canon.canonical.values.values()):
         return Unsupported(ESSENTIALLY_ORIENTED)

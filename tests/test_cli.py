@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from phasedmatroids.cli import run
 
 from conftest import FIXTURES, load_fixture
@@ -110,5 +112,49 @@ def test_output_deterministic(capsys):
     run(list(args))
     second = capsys.readouterr().out
     assert first == second
-    run(list(args) + ["--threads", "4"])
-    assert capsys.readouterr().out == first
+
+
+NON_MATROID_SUPPORT = {"n": 4, "r": 2, "values": [
+    {"basis": list(b), "phase": phase} for b, phase in (
+        ((1, 2), {"angle_over_pi": 0.0}), ((1, 3), None), ((1, 4), None),
+        ((2, 3), None), ((2, 4), None), ((3, 4), {"angle_over_pi": 0.5}))]}
+
+
+@pytest.mark.parametrize("command", ["tree", "canonicalize"])
+def test_non_matroid_support_reports_violations(tmp_path, capsys, command):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(NON_MATROID_SUPPORT))
+    code, report = invoke(capsys, command, "--input", str(path))
+    assert code == 1
+    assert {"X": [1, 3, 4], "Y": [2]} in report["violations"]
+
+
+def _phirotope_with_phase(x):
+    doc = load_fixture("nonreal2ex_phirotope.json")
+    doc["values"][0]["phase"] = {"angle_over_pi": x}
+    return doc
+
+
+def _matrix_with_entry(entry):
+    doc = load_fixture("runex_matrix.json")
+    doc["entries"][0][0] = entry
+    return doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("validate", _phirotope_with_phase(float("nan"))),
+    ("realize", _phirotope_with_phase(float("inf"))),
+    ("validate", _phirotope_with_phase(10 ** 400)),
+    ("from-matrix", _matrix_with_entry({"norm": "x", "angle_over_pi": 0.0})),
+    ("from-matrix", _matrix_with_entry({"norm": float("nan"), "angle_over_pi": 0.0})),
+    ("from-matrix", _matrix_with_entry({"norm": 1.0, "angle_over_pi": float("-inf")})),
+    ("from-matrix", {"rows": 2, "cols": 1,
+                     "entries": [[{"norm": 1.0, "angle_over_pi": 0.0}], [None]]}),
+], ids=["nan-phase", "inf-phase", "huge-int-phase", "text-norm", "nan-norm",
+        "inf-angle", "cols-below-rows"])
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, report = invoke(capsys, command, "--input", str(path))
+    assert code == 2
+    assert set(report) == {"error"}

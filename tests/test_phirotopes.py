@@ -164,3 +164,33 @@ def test_check_gp_random_matrices():
                 arr = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
                 phi = from_matrix(ComplexMatrix.from_complex(arr))
                 assert phi.check_gp() == []
+
+
+def test_matrix_born_supports_are_matroids():
+    """GP implies basis exchange (see underlying_matroid): non-uniform
+    matrix-born phirotopes pass GP, and their supports pass the exchange check."""
+    rng = np.random.default_rng(27)
+    nonuniform = 0
+    for _ in range(200):
+        r = int(rng.integers(1, 5))
+        n = int(rng.integers(r + 1, 9))
+        nmat = rng.normal(size=(r, n - r)) + 1j * rng.normal(size=(r, n - r))
+        nmat[rng.random(nmat.shape) < 0.4] = 0
+        left = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        m = ComplexMatrix.from_complex(left @ np.hstack([np.eye(r), nmat]))
+        rho = Rephasing(tuple(Phase.from_angle(a) for a in rng.uniform(0, 2 * np.pi, n)))
+        phi = rephase(from_matrix(m), rho)
+        assert phi.check_gp() == []
+        UnderlyingMatroid.from_bases(n, r, [b for b, p in phi.values.items() if not p.is_zero])
+        nonuniform += not is_uniform(phi)
+    assert nonuniform >= 150
+
+
+def test_non_matroid_support_violates_gp_at_the_exchange_pair():
+    # bases {1,2}, {3,4}: x = 1 has no exchange partner, and the relation at
+    # X = {3,4} + {1}, Y = {1,2} - {1} has a lone nonzero term
+    values = {b: Phase(None) for b in ((1, 3), (1, 4), (2, 3), (2, 4))}
+    values[(1, 2)] = Phase(0.0)
+    values[(3, 4)] = Phase.from_angle_over_pi(0.5)
+    phi = Phirotope(4, 2, values, validate=False)
+    assert ((1, 3, 4), (2,)) in phi.check_gp()
