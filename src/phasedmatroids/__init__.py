@@ -70,7 +70,6 @@ from .phirotopes import (
     underlying_matroid,
 )
 from .realization import (
-    NormGrid,
     NotRealizable,
     Realizable,
     RealizabilityVerdict,

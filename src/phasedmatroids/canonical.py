@@ -18,7 +18,7 @@ from .errors import (
     PhasedMatroidError,
     UnsupportedMinorSizeError,
 )
-from .phases import DEFAULT_TOLERANCE, Phase, Tolerance, circular_distance
+from .phases import VERIFY_TOLERANCE, Phase, circular_distance
 from .phirotopes import Phirotope, Rephasing, UnderlyingMatroid, rephase, scale_global, underlying_matroid
 
 
@@ -158,16 +158,13 @@ class CanonicalizationResult:
     canonical: Phirotope
 
 
-def canonical_targets(phi_or_n, r=None):
+def canonical_targets(phi: Phirotope):
     """Bases whose canonical values are pinned, with their target phases.
 
     Covers {1..r} (target 1), the row-r bases {1..r-1, j} for j > r (target 1)
     and the column-(r+1) bases {1..r}-{i}+{r+1} for i < r (target (-1)**(r-i)).
     """
-    if isinstance(phi_or_n, Phirotope):
-        n, r = phi_or_n.n, phi_or_n.r
-    else:
-        n = phi_or_n
+    n, r = phi.n, phi.r
     first = tuple(range(1, r + 1))
     targets = {first: Phase(0.0)}
     for j in range(r + 1, n + 1):
@@ -182,11 +179,11 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     """Rephase and globally scale a phirotope into canonical form.
 
     The rephasing is propagated along the canonical spanning tree with the
-    gauge rho[r+1] = 1; the global phase then normalizes the value on
-    {1, ..., r} to 1.  Requires phi to satisfy the Grassmann-Pluecker
-    relations (validated and matrix-born phirotopes do), {1..r} to be a basis
-    and the associated bipartite graph to be connected (direct sums are
-    rejected).
+    gauge rho[r+1] = 1 (rho[1] = 1 when n = r = 1); the global phase then
+    normalizes the value on {1, ..., r} to 1.  Requires phi to satisfy the
+    Grassmann-Pluecker relations (validated and matrix-born phirotopes do),
+    {1..r} to be a basis and the associated bipartite graph to be connected
+    (direct sums are rejected).
     """
     r, n = phi.r, phi.n
     matroid = underlying_matroid(phi)
@@ -196,7 +193,8 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")
 
-    # one component: the walk from r+1 below reaches every vertex
+    # one component: the walk from the root below reaches every vertex
+    root = min(r + 1, n)
     first_value = phi.value(range(1, r + 1))
     # tree edge (i, j) forces rho[j] - rho[i] = ang(phi(1..r)) - ang(entry_phase)
     adjacency = {v: [] for v in range(1, n + 1)}
@@ -204,8 +202,8 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
         delta = first_value.angle - entry_phase(phi, i, j).angle
         adjacency[i].append((j, delta))
         adjacency[j].append((i, -delta))
-    rho_angle = {r + 1: 0.0}
-    stack = [r + 1]
+    rho_angle = {root: 0.0}
+    stack = [root]
     while stack:
         v = stack.pop()
         for w, delta in adjacency[v]:
@@ -223,7 +221,7 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
         got = values[basis]
         if got.is_zero:
             continue
-        if circular_distance(got.angle, target.angle) > 1e-6:
+        if circular_distance(got.angle, target.angle) > VERIFY_TOLERANCE.eps:
             raise PhasedMatroidError(
                 f"canonicalization failed to pin basis {basis}: got {got}, want {target}")
         values[basis] = target
@@ -231,16 +229,18 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     return CanonicalizationResult(rho, alpha, canonical)
 
 
-def is_canonical(phi: Phirotope, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True iff every pinned basis with nonzero value matches its target."""
+def is_canonical(phi: Phirotope) -> bool:
+    """True iff every pinned basis with nonzero value matches its target
+    within ``phi.tolerance``."""
     for basis, target in canonical_targets(phi).items():
         got = phi.values[basis]
-        if not got.is_zero and not got.isclose(target, tol):
+        if not got.is_zero and not got.isclose(target, phi.tolerance):
             return False
     return not phi.value(range(1, phi.r + 1)).is_zero
 
 
-def is_essentially_oriented(phi: Phirotope, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True iff the canonical form takes values in {-1, 0, +1} only."""
+def is_essentially_oriented(phi: Phirotope) -> bool:
+    """True iff the canonical form takes values in {-1, 0, +1} only, within
+    ``phi.tolerance``."""
     canonical = canonicalize(phi).canonical
-    return all(p.is_real(tol) for p in canonical.values.values())
+    return all(p.is_real(phi.tolerance) for p in canonical.values.values())

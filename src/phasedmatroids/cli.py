@@ -27,7 +27,7 @@ from .errors import (
     PhasedMatroidError,
     RankDeficientError,
 )
-from .phases import Tolerance
+from .phases import DEFAULT_TOLERANCE, Tolerance
 from .phirotopes import from_matrix, underlying_matroid
 from .realization import NOT_A_PHIROTOPE, NotRealizable, Unsupported, decide_realizability, verify
 
@@ -70,7 +70,7 @@ def _cmd_canonicalize(doc, tol):
 
 def _cmd_orient_check(doc, tol):
     phi = jsonio.phirotope_from_json(doc, tol)
-    return {"essentially_oriented": is_essentially_oriented(phi, tol)}, EXIT_OK
+    return {"essentially_oriented": is_essentially_oriented(phi)}, EXIT_OK
 
 
 def _cmd_realize(doc, tol):
@@ -91,6 +91,9 @@ def _cmd_verify(doc, tol):
         raise jsonio.FormatError('verify expects {"phirotope": ..., "matrix": ...}')
     phi = jsonio.phirotope_from_json(doc["phirotope"], tol, validate=False)
     m = jsonio.matrix_from_json(doc["matrix"])
+    if (m.rows, m.cols) != (phi.r, phi.n):
+        raise jsonio.FormatError(
+            f"matrix is {m.rows} x {m.cols}, phirotope needs {phi.r} x {phi.n}")
     witness = verify(phi, m)
     if witness is None:
         return {"realizes": True}, EXIT_OK
@@ -123,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--input", required=True, help="input JSON file")
     parser.add_argument("--output", default=None, help="output file (default: stdout)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="angular tolerance in radians (default 1e-9)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE.eps,
+                        help="angular tolerance in radians (default %(default)g)")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     return parser
 

@@ -9,7 +9,7 @@ match the ground-set conventions used throughout the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,7 @@ from .errors import (
     SingularLeadingBlockError,
     ZeroScalarError,
 )
-from .phases import ZERO, ZERO_MAGNITUDE_CUTOFF, Phase, phase_of
-
-#: Leading-block |det| below this declares the first r columns dependent.
-SINGULARITY_THRESHOLD = 1e-12
+from .phases import ZERO, ZERO_MAGNITUDE_CUTOFF, Phase
 
 
 @dataclass(frozen=True)
@@ -60,11 +57,12 @@ class ComplexMatrix:
         return self.norms.shape[1]
 
     @classmethod
-    def from_complex(cls, arr, zero_tol: float = ZERO_MAGNITUDE_CUTOFF) -> "ComplexMatrix":
+    def from_complex(cls, arr) -> "ComplexMatrix":
+        """Entries of magnitude below ``ZERO_MAGNITUDE_CUTOFF`` become zero."""
         a = np.asarray(arr, dtype=complex)
         norms = np.abs(a)
         angles = np.angle(a)
-        zero = norms < zero_tol
+        zero = norms < ZERO_MAGNITUDE_CUTOFF
         norms = np.where(zero, 0.0, norms)
         angles = np.where(zero, 0.0, angles)
         return cls(norms, angles)
@@ -161,7 +159,7 @@ def to_standard_form(m: ComplexMatrix) -> ComplexMatrix:
     r = m.rows
     arr = m.to_complex()
     lead = arr[:, :r]
-    if abs(_dets(lead[None])[0]) < SINGULARITY_THRESHOLD:
+    if abs(_dets(lead[None])[0]) < ZERO_MAGNITUDE_CUTOFF:
         raise SingularLeadingBlockError("columns 1..r are not a basis")
     reduced = np.linalg.solve(lead, arr)
     reduced[:, :r] = np.eye(r)

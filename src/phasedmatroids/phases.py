@@ -21,13 +21,19 @@ from .errors import DegenerateTriangleError, InfeasibleTriangleError
 
 TAU = 2.0 * math.pi
 
-#: Absolute magnitude below which a complex number is treated as zero.
+#: The one zero cutoff: a minor, matrix entry or leading-block determinant of
+#: absolute magnitude below it is treated as zero.
 ZERO_MAGNITUDE_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Angular comparison tolerance in radians."""
+    """Angular comparison tolerance in radians.
+
+    A phirotope carries the angular tolerance it was built with, and every
+    function that takes a phirotope judges phases by ``phi.tolerance``,
+    except the checks against ``VERIFY_TOLERANCE``.
+    """
 
     eps: float = 1e-9
 
@@ -37,6 +43,12 @@ class Tolerance:
 
 
 DEFAULT_TOLERANCE = Tolerance()
+
+#: Verification tolerance: computed minor phases and canonical pins must match
+#: within it.  Looser than the angular tolerance because it bounds floating
+#: error accumulated by the program's own arithmetic (triangle solves,
+#: rephasing), and fixed: the angular tolerance does not change it.
+VERIFY_TOLERANCE = Tolerance(1e-6)
 
 
 def _normalize(angle: float) -> float:

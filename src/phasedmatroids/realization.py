@@ -12,13 +12,12 @@ reproduces it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .canonical import (
-    CanonicalizationResult,
     SpanningForest,
     _UnionFind,
     canonicalize,
@@ -27,7 +26,6 @@ from .canonical import (
     minor_phase,
 )
 from .errors import (
-    DegenerateTriangleError,
     DisconnectedGraphError,
     EssentiallyOrientedError,
     InfeasibleTriangleError,
@@ -36,19 +34,13 @@ from .errors import (
 )
 from .matrices import ComplexMatrix, all_maximal_minors
 from .phases import (
-    DEFAULT_TOLERANCE,
+    VERIFY_TOLERANCE,
     Phase,
-    Tolerance,
     TriangleEquation,
     phase_of,
     triangle_solve,
 )
 from .phirotopes import Phirotope, Rephasing, is_uniform
-
-#: Default tolerance for comparing phirotope values against computed minor
-#: phases; looser than the angular tolerance because reconstructed norms carry
-#: accumulated floating error from the triangle solves.
-VERIFY_TOLERANCE = Tolerance(1e-6)
 
 ESSENTIALLY_ORIENTED = "essentially_oriented"
 NOT_UNIFORM = "not_uniform"
@@ -88,75 +80,50 @@ class Unsupported:
 RealizabilityVerdict = Union[Realizable, NotRealizable, Unsupported]
 
 
-@dataclass
-class NormGrid:
-    """Partially-filled entry norms of a canonical realization.
-
-    Tree entries (row r and column r+1) are fixed to 1; the remaining norms
-    are filled in by the reconstruction passes.  Entries are keyed by 1-based
-    (row, column) with column > rank.
-    """
-
-    rank: int
-    ground_size: int
-    norms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        r, n = self.rank, self.ground_size
-        for i in range(1, r + 1):
-            self.norms[(i, r + 1)] = 1.0
-        for j in range(r + 1, n + 1):
-            self.norms[(r, j)] = 1.0
-
-    def known(self, i: int, j: int) -> bool:
-        return (i, j) in self.norms
-
-    def __getitem__(self, key) -> float:
-        return self.norms[key]
-
-    def __setitem__(self, key, value: float):
-        if value <= 0.0:
-            raise ValueError("entry norms must be positive")
-        self.norms[key] = value
-
-    def missing(self):
-        r, n = self.rank, self.ground_size
-        return [(i, j) for i in range(1, r) for j in range(r + 2, n + 1)
-                if (i, j) not in self.norms]
+def _tree_norms(r: int, n: int) -> np.ndarray:
+    """Entry norms of a canonical realization before the triangle passes: the
+    identity block, 1 on row r and column r+1 (the tree), nan where unknown."""
+    norms = np.full((r, n), np.nan)
+    norms[:, :r] = np.eye(r)
+    norms[r - 1, r:] = 1.0
+    norms[:, r] = 1.0
+    return norms
 
 
-def _solve_entry(phi, alpha, grid, i, m, j, k, tol):
-    """Solve for the norm at (i, j) from the 2x2 minor on rows {i, m} and
-    columns {j, k}, where the other three norms are known."""
+def _solve_entry(phi, alpha, norms, i, m, j, k):
+    """Solve for the norm at 1-based (i, j) from the 2x2 minor on rows {i, m}
+    and columns {j, k}, where the other three norms are known; the solution
+    is written into ``norms`` and returned."""
     a, b = min(i, m), max(i, m)
     c, d = min(j, k), max(j, k)
+    ac, ad = norms.item(a - 1, c - 1), norms.item(a - 1, d - 1)
+    bc, bd = norms.item(b - 1, c - 1), norms.item(b - 1, d - 1)
     gamma = minor_phase(phi, (a, b), (c, d))
     phase1 = alpha[(a, c)] * alpha[(b, d)]
     phase2 = alpha[(a, d)] * alpha[(b, c)]
     in_first = (i, j) in ((a, c), (b, d))
     if in_first:
-        cofactor = grid[(b, d)] if (i, j) == (a, c) else grid[(a, c)]
-        s2 = grid[(a, d)] * grid[(b, c)]
-        eq = TriangleEquation(gamma, phase1, phase2, s1=None, s2=s2)
+        cofactor = bd if (i, j) == (a, c) else ac
+        eq = TriangleEquation(gamma, phase1, phase2, s1=None, s2=ad * bc)
     else:
-        cofactor = grid[(b, c)] if (i, j) == (a, d) else grid[(a, d)]
-        s1 = grid[(a, c)] * grid[(b, d)]
-        eq = TriangleEquation(gamma, phase1, phase2, s1=s1, s2=None)
+        cofactor = bc if (i, j) == (a, d) else ad
+        eq = TriangleEquation(gamma, phase1, phase2, s1=ac * bd, s2=None)
     try:
-        solved, _ = triangle_solve(eq, tol)
+        solved, _ = triangle_solve(eq, phi.tolerance)
     except InfeasibleTriangleError as exc:
         raise InfeasibleTriangleError(
             f"minor rows {{{a},{b}}} cols {{{c},{d}}}: {exc}") from exc
-    grid[(i, j)] = solved / cofactor
-    return grid[(i, j)]
+    norms[i - 1, j - 1] = norm = solved / cofactor
+    return norm
 
 
-def reconstruct(canonical: Phirotope, tol: Tolerance = DEFAULT_TOLERANCE) -> ComplexMatrix:
+def reconstruct(canonical: Phirotope) -> ComplexMatrix:
     """Rebuild the canonical realization (I|N) of a uniform canonical phirotope.
 
     Entry phases come straight from the phirotope; tree norms are 1; the rest
     are solved in four passes of triangular equations, anchored at non-real
-    entries (smallest row-major anchor when several exist).  Raises
+    entries (smallest row-major anchor when several exist).  Phases are
+    judged within ``canonical.tolerance``.  Raises
     :class:`EssentiallyOrientedError` if no non-real anchor exists and
     :class:`InfeasibleTriangleError` when some equation has no positive
     solution (evidence of non-realizability).
@@ -164,20 +131,20 @@ def reconstruct(canonical: Phirotope, tol: Tolerance = DEFAULT_TOLERANCE) -> Com
     r, n = canonical.r, canonical.n
     if not is_uniform(canonical):
         raise NotCanonicalError("reconstruction requires a uniform phirotope")
-    if not is_canonical(canonical, tol):
+    if not is_canonical(canonical):
         raise NotCanonicalError("phirotope is not in canonical form")
 
     alpha = {(i, j): entry_phase(canonical, i, j)
              for i in range(1, r + 1) for j in range(r + 1, n + 1)}
-    real = {key: p.is_real(tol) for key, p in alpha.items()}
-    grid = NormGrid(r, n)
+    real = {key: p.is_real(canonical.tolerance) for key, p in alpha.items()}
+    norms = _tree_norms(r, n)
 
     free_cols = range(r + 2, n + 1)
     # pass 1: non-real entries, against the all-ones row r and column r+1
     for i in range(1, r):
         for j in free_cols:
             if not real[(i, j)]:
-                _solve_entry(canonical, alpha, grid, i, r, j, r + 1, tol)
+                _solve_entry(canonical, alpha, norms, i, r, j, r + 1)
     # pass 2: real entries in a row that has a non-real entry
     for i in range(1, r):
         anchors = [j for j in free_cols if not real[(i, j)]]
@@ -186,7 +153,7 @@ def reconstruct(canonical: Phirotope, tol: Tolerance = DEFAULT_TOLERANCE) -> Com
         k = anchors[0]
         for j in free_cols:
             if real[(i, j)]:
-                _solve_entry(canonical, alpha, grid, i, r, j, k, tol)
+                _solve_entry(canonical, alpha, norms, i, r, j, k)
     # pass 3: all-real rows, entries in a column that has a non-real entry
     for i in range(1, r):
         if any(not real[(i, j)] for j in free_cols):
@@ -194,29 +161,26 @@ def reconstruct(canonical: Phirotope, tol: Tolerance = DEFAULT_TOLERANCE) -> Com
         for j in free_cols:
             col_anchors = [m for m in range(1, r) if not real[(m, j)]]
             if col_anchors:
-                _solve_entry(canonical, alpha, grid, i, col_anchors[0], j, r + 1, tol)
-    # pass 4: all-real rows and columns, against any non-real anchor entry
+                _solve_entry(canonical, alpha, norms, i, col_anchors[0], j, r + 1)
+    # pass 4: the remaining (all-real rows and columns) entries, in row-major
+    # order, against any non-real anchor entry
     anchor = next(((m, k) for m in range(1, r) for k in free_cols if not real[(m, k)]), None)
-    for (i, j) in grid.missing():
+    for i, j in (np.argwhere(np.isnan(norms)) + 1).tolist():
         if anchor is None:
             raise EssentiallyOrientedError(
                 "no non-real entry available to anchor the reconstruction")
         m, k = anchor
-        _solve_entry(canonical, alpha, grid, i, m, j, k, tol)
+        _solve_entry(canonical, alpha, norms, i, m, j, k)
 
-    norms = np.zeros((r, n))
     angles = np.zeros((r, n))
-    norms[:, :r] = np.eye(r)
-    for i in range(1, r + 1):
-        for j in range(r + 1, n + 1):
-            norms[i - 1, j - 1] = grid[(i, j)]
-            angles[i - 1, j - 1] = alpha[(i, j)].angle
+    for (i, j), p in alpha.items():
+        angles[i - 1, j - 1] = p.angle
     return ComplexMatrix(norms, angles)
 
 
-def verify(phi: Phirotope, m: ComplexMatrix,
-           tol: Tolerance = VERIFY_TOLERANCE) -> Optional[Witness]:
-    """Compare every value of phi with the minor phases of m.
+def verify(phi: Phirotope, m: ComplexMatrix) -> Optional[Witness]:
+    """Compare every value of phi with the minor phases of m, within
+    ``VERIFY_TOLERANCE``.
 
     Returns the lexicographically first mismatching basis as a witness, or
     ``None`` when the matrix realizes the phirotope.
@@ -227,13 +191,12 @@ def verify(phi: Phirotope, m: ComplexMatrix,
     for basis in phi.sorted_bases():
         expected = phi.values[basis]
         computed = phase_of(minors[basis])
-        if not expected.isclose(computed, tol):
+        if not expected.isclose(computed, VERIFY_TOLERANCE):
             return Witness(basis, expected, computed)
     return None
 
 
-def decide_realizability(phi: Phirotope,
-                         verify_tol: Tolerance = VERIFY_TOLERANCE) -> RealizabilityVerdict:
+def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
     """Full realizability pipeline for a phirotope.
 
     Validates the Grassmann-Pluecker relations, requires uniformity,
@@ -256,18 +219,18 @@ def decide_realizability(phi: Phirotope,
     if all(p.is_real(phi.tolerance) for p in canon.canonical.values.values()):
         return Unsupported(ESSENTIALLY_ORIENTED)
     try:
-        matrix = reconstruct(canon.canonical, phi.tolerance)
+        matrix = reconstruct(canon.canonical)
     except InfeasibleTriangleError as exc:
         return NotRealizable(infeasible_equation=str(exc))
     except EssentiallyOrientedError as exc:
         return Unsupported(ESSENTIALLY_ORIENTED, detail=str(exc))
-    witness = verify(canon.canonical, matrix, verify_tol)
+    witness = verify(canon.canonical, matrix)
     if witness is not None:
         return NotRealizable(witness=witness, matrix=matrix)
     return Realizable(matrix, canon.rho, canon.global_phase)
 
 
-def rank2_norm(canonical: Phirotope, j: int, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def rank2_norm(canonical: Phirotope, j: int) -> float:
     """Norm of entry (1, j) of the canonical realization of a rank-2 phirotope.
 
     Solved through the general triangular-equation machinery; the classical
@@ -277,12 +240,11 @@ def rank2_norm(canonical: Phirotope, j: int, tol: Tolerance = DEFAULT_TOLERANCE)
         raise ValueError("rank2_norm requires a rank-2 phirotope")
     if not (3 < j <= canonical.n):
         raise ValueError(f"column {j} outside (3, {canonical.n}]")
-    if not is_canonical(canonical, tol):
+    if not is_canonical(canonical):
         raise NotCanonicalError("phirotope is not in canonical form")
     alpha = {(i, c): entry_phase(canonical, i, c)
              for i in (1, 2) for c in (3, j)}
-    grid = NormGrid(2, canonical.n)
-    return _solve_entry(canonical, alpha, grid, 1, 2, j, 3, tol)
+    return _solve_entry(canonical, alpha, _tree_norms(2, canonical.n), 1, 2, j, 3)
 
 
 def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from phasedmatroids import (
+    DEFAULT_TOLERANCE,
     ComplexMatrix,
     DisconnectedGraphError,
     Phase,
+    Phirotope,
     Rephasing,
+    Tolerance,
     UnderlyingMatroid,
     associated_bipartite_graph,
     canonical_spanning_forest,
@@ -191,3 +194,25 @@ def test_essential_orientability_rephasing_invariant():
     phi = from_matrix(ComplexMatrix.from_complex(arr))
     rho = Rephasing(tuple(Phase.from_angle(x) for x in rng.uniform(0, 2 * np.pi, 5)))
     assert is_essentially_oriented(rephase(phi, rho)) == is_essentially_oriented(phi)
+
+
+
+def _rotated(phi, basis, amount, tolerance):
+    values = dict(phi.values)
+    values[basis] = Phase.from_angle(values[basis].angle + amount)
+    return Phirotope(phi.n, phi.r, values, tolerance, validate=False)
+
+
+def test_phase_tests_read_the_phirotope_tolerance():
+    rng = np.random.default_rng(37)
+    real = ComplexMatrix.from_complex(rng.normal(size=(3, 6)).astype(complex))
+    canonical = canonicalize(from_matrix(real, Tolerance(1e-3))).canonical
+    assert canonical.tolerance == Tolerance(1e-3)
+    targets = canonical_targets(canonical)
+    assert (4, 5, 6) not in targets and (1, 2, 4) in targets
+    # a value 1e-4 rad off +/-1, or off its pinned target, passes at 1e-3 ...
+    assert is_essentially_oriented(_rotated(canonical, (4, 5, 6), 1e-4, Tolerance(1e-3)))
+    assert is_canonical(_rotated(canonical, (1, 2, 4), 1e-4, Tolerance(1e-3)))
+    # ... and fails when the phirotope carries the default 1e-9
+    assert not is_essentially_oriented(_rotated(canonical, (4, 5, 6), 1e-4, DEFAULT_TOLERANCE))
+    assert not is_canonical(_rotated(canonical, (1, 2, 4), 1e-4, DEFAULT_TOLERANCE))

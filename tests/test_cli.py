@@ -158,3 +158,30 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, doc):
     code, report = invoke(capsys, command, "--input", str(path))
     assert code == 2
     assert set(report) == {"error"}
+
+
+_ONE_ELEMENT = {"n": 1, "r": 1, "values": [{"basis": [1], "phase": {"angle_over_pi": 0.5}}]}
+_MISMATCHED_PAIR = {"phirotope": load_fixture("realizable_rank3_phirotope.json"),
+                    "matrix": load_fixture("runex_matrix.json")}
+
+
+@pytest.mark.parametrize("command, doc, code, result", [
+    ("verify", _MISMATCHED_PAIR, 2, None),
+    ("canonicalize", _ONE_ELEMENT, 0,
+     {"canonical": {"n": 1, "r": 1, "values": [{"basis": [1], "phase": {"angle_over_pi": 0.0}}]},
+      "global_phase": {"angle_over_pi": 1.5}, "rho": [{"angle_over_pi": 0.0}]}),
+    ("orient-check", _ONE_ELEMENT, 0, {"essentially_oriented": True}),
+    ("realize", _ONE_ELEMENT, 3, {"verdict": "Unsupported", "reason": "essentially_oriented"}),
+], ids=["verify-shape-mismatch", "canonicalize-n1", "orient-check-n1", "realize-n1"])
+def test_edge_inputs_exit_cleanly(tmp_path, capsys, command, doc, code, result):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    got = run([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert got == code
+    if result is None:
+        assert report == {"error": "matrix is 3 x 5, phirotope needs 3 x 6"}
+    else:
+        assert report["result"] == result
