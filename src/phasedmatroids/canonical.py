@@ -37,14 +37,9 @@ def shuffle_sign(subset, rank: int) -> int:
 
 
 def entry_phase(phi: Phirotope, i: int, j: int) -> Phase:
-    """Forced phase of entry (i, j), j > rank, in any standard-form realization."""
-    r = phi.r
-    if not (1 <= i <= r):
-        raise ValueError(f"row {i} outside [1, {r}]")
-    if not (r < j <= phi.n):
-        raise ValueError(f"column {j} outside ({r}, {phi.n}]")
-    basis = tuple(k for k in range(1, r + 1) if k != i) + (j,)
-    return phi.evaluate(basis).times_sign((-1) ** ((r - i) % 2))
+    """Forced phase of entry (i, j), j > rank, in any standard-form realization:
+    the 1 x 1 minor on row i and column j."""
+    return minor_phase(phi, (i,), (j,))
 
 
 def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
@@ -78,9 +73,6 @@ class AssociatedBipartiteGraph:
 
     def neighbors_of_row(self, i: int):
         return sorted(j for (a, j) in self.edges if a == i)
-
-    def rows_of_column(self, j: int):
-        return sorted(i for (i, b) in self.edges if b == j)
 
 
 def associated_bipartite_graph(m: UnderlyingMatroid) -> AssociatedBipartiteGraph:
@@ -120,6 +112,29 @@ class _UnionFind:
             return False
         self.parent[ra] = rb
         return True
+
+
+def tree_potentials(n: int, edges, deltas, root: int) -> dict:
+    """Potentials p on the vertices 1..n with p[j] - p[i] = delta on each
+    forest edge (i, j), by a walk from ``root`` and then from the smallest
+    unreached vertex of each remaining component; each start has potential 0."""
+    adjacency = {v: [] for v in range(1, n + 1)}
+    for (i, j), delta in zip(edges, deltas):
+        adjacency[i].append((j, delta))
+        adjacency[j].append((i, -delta))
+    potential = {}
+    for start in (root, *range(1, n + 1)):
+        if start in potential:
+            continue
+        potential[start] = 0.0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w, delta in adjacency[v]:
+                if w not in potential:
+                    potential[w] = potential[v] + delta
+                    stack.append(w)
+    return potential
 
 
 def canonical_spanning_forest(g: AssociatedBipartiteGraph) -> SpanningForest:
@@ -193,24 +208,10 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")
 
-    # one component: the walk from the root below reaches every vertex
-    root = min(r + 1, n)
     first_value = phi.value(range(1, r + 1))
     # tree edge (i, j) forces rho[j] - rho[i] = ang(phi(1..r)) - ang(entry_phase)
-    adjacency = {v: [] for v in range(1, n + 1)}
-    for (i, j) in forest.edges:
-        delta = first_value.angle - entry_phase(phi, i, j).angle
-        adjacency[i].append((j, delta))
-        adjacency[j].append((i, -delta))
-    rho_angle = {root: 0.0}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w, delta in adjacency[v]:
-            if w not in rho_angle:
-                rho_angle[w] = rho_angle[v] + delta
-                stack.append(w)
-
+    deltas = [first_value.angle - entry_phase(phi, i, j).angle for (i, j) in forest.edges]
+    rho_angle = tree_potentials(n, forest.edges, deltas, min(r + 1, n))
     rho = Rephasing(tuple(Phase.from_angle(rho_angle[k]) for k in range(1, n + 1)))
     alpha = Phase.from_angle(-first_value.angle - sum(rho_angle[k] for k in range(1, r + 1)))
     canonical = scale_global(rephase(phi, rho), alpha)
@@ -239,8 +240,12 @@ def is_canonical(phi: Phirotope) -> bool:
     return not phi.value(range(1, phi.r + 1)).is_zero
 
 
+def is_real_valued(phi: Phirotope) -> bool:
+    """True iff every value is 0 or within ``phi.tolerance`` of +1 or -1."""
+    return all(p.is_real(phi.tolerance) for p in phi.values.values())
+
+
 def is_essentially_oriented(phi: Phirotope) -> bool:
     """True iff the canonical form takes values in {-1, 0, +1} only, within
     ``phi.tolerance``."""
-    canonical = canonicalize(phi).canonical
-    return all(p.is_real(phi.tolerance) for p in canonical.values.values())
+    return is_real_valued(canonicalize(phi).canonical)

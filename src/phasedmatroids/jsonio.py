@@ -46,6 +46,12 @@ def _finite(x: Any, name: str) -> float:
     return float(x)
 
 
+def _integer(x: Any) -> bool:
+    """Whether x is a JSON integer; Python's json reads true and false as
+    bools, which are ints to isinstance, and both are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def phase_from_json(obj: Any) -> Phase:
     if obj is None:
         return Phase(None)
@@ -76,7 +82,7 @@ def matrix_from_json(obj: Any) -> ComplexMatrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"matrix is missing field {exc}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int) and 1 <= rows <= cols):
+    if not (_integer(rows) and _integer(cols) and 1 <= rows <= cols):
         raise FormatError("matrix rows/cols must be integers with 1 <= rows <= cols")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(f"expected {rows} entry rows")
@@ -116,7 +122,7 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
         n, r, items = obj["n"], obj["r"], obj["values"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"phirotope is missing field {exc}") from exc
-    if not (isinstance(n, int) and isinstance(r, int) and 1 <= r <= n):
+    if not (_integer(n) and _integer(r) and 1 <= r <= n):
         raise FormatError("need integers 1 <= r <= n")
     if not isinstance(items, list):
         raise FormatError("values must be a list")
@@ -126,7 +132,7 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
             raise FormatError(f"bad value record: {item!r}")
         basis = item["basis"]
         if (not isinstance(basis, list) or len(basis) != r
-                or any(not isinstance(k, int) for k in basis)
+                or not all(map(_integer, basis))
                 or sorted(basis) != basis or len(set(basis)) != r
                 or basis[0] < 1 or basis[-1] > n):
             raise FormatError(f"bad basis {basis!r}: need a sorted {r}-subset of [1, {n}]")
@@ -134,9 +140,13 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
         if key in values:
             raise FormatError(f"basis {basis} appears twice")
         values[key] = phase_from_json(item["phase"])
-    if len(values) != math.comb(n, r):
+    # C(n, r) >= n for 1 <= r < n, so a list shorter than n is short without
+    # computing C(n, r), which takes minutes for n in the hundreds of millions
+    short = len(values) < n and r < n
+    expected = f"C({n}, {r})" if short else math.comb(n, r)
+    if short or len(values) != expected:
         raise FormatError(
-            f"expected {math.comb(n, r)} values, got {len(values)}: "
+            f"expected {expected} values, got {len(values)}: "
             "every sorted r-subset must appear exactly once")
     try:
         return Phirotope(n, r, values, tolerance, validate=validate)

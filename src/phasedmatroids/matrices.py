@@ -70,11 +70,6 @@ class ComplexMatrix:
     def to_complex(self) -> np.ndarray:
         return self.norms * np.exp(1j * self.angles)
 
-    def entry(self, i: int, j: int) -> complex:
-        """Entry at 1-based row i, column j as a complex number."""
-        self._check_index(i, j)
-        return self.norms[i - 1, j - 1] * np.exp(1j * self.angles[i - 1, j - 1])
-
     def entry_phase(self, i: int, j: int) -> Phase:
         """Phase of the entry at 1-based (i, j), exact from storage."""
         self._check_index(i, j)

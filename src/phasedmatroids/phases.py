@@ -21,8 +21,9 @@ from .errors import DegenerateTriangleError, InfeasibleTriangleError
 
 TAU = 2.0 * math.pi
 
-#: The one zero cutoff: a minor, matrix entry or leading-block determinant of
-#: absolute magnitude below it is treated as zero.
+#: The one zero cutoff: a matrix entry, scalar or leading-block determinant of
+#: magnitude below it is zero; a maximal minor is zero below it times the
+#: largest maximal minor of its matrix (``phirotopes.minor_phases``).
 ZERO_MAGNITUDE_CUTOFF = 1e-12
 
 

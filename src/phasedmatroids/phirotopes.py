@@ -11,6 +11,7 @@ never affects zero membership, so quantifying over sorted Y loses nothing.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,10 +29,10 @@ from .matrices import ComplexMatrix, all_maximal_minors
 from .phases import (
     DEFAULT_TOLERANCE,
     ZERO,
+    ZERO_MAGNITUDE_CUTOFF,
     Phase,
     Tolerance,
     circular_distance,
-    phase_of,
     zero_in_hypersum_batch,
 )
 
@@ -146,10 +147,8 @@ class Phirotope:
         self.n = ground_size
         self.r = rank
         self.tolerance = tolerance
-        self._bases = list(itertools.combinations(range(1, ground_size + 1), rank))
-        self._index = {b: i for i, b in enumerate(self._bases)}
-        vals = {}
-        for b in self._bases:
+        vals = {}  # in lex order of the bases
+        for b in itertools.combinations(range(1, ground_size + 1), rank):
             if b not in values:
                 raise ValueError(f"missing value for basis {b}")
             vals[b] = values[b]
@@ -163,7 +162,7 @@ class Phirotope:
 
     def sorted_bases(self):
         """All sorted r-subsets of [n] in lexicographic order."""
-        return list(self._bases)
+        return list(self.values)
 
     def value(self, basis) -> Phase:
         return self.values[tuple(sorted(basis))]
@@ -183,7 +182,7 @@ class Phirotope:
 
     def unit_vector(self) -> np.ndarray:
         """Values as unit complex numbers (0 for zero) in lex basis order."""
-        return np.array([self.values[b].unit() for b in self._bases], dtype=complex)
+        return np.array([p.unit() for p in self.values.values()], dtype=complex)
 
     def check_gp(self):
         """All (X, Y) pairs violating the Grassmann-Pluecker relations.
@@ -196,6 +195,7 @@ class Phirotope:
         if n < r + 1:
             return []
         v = self.unit_vector()
+        index = {b: k for k, b in enumerate(self.values)}
         xsubs = list(itertools.combinations(range(1, n + 1), r + 1))
         ysubs = list(itertools.combinations(range(1, n + 1), r - 1))
         # first factor: (-1)^k * phi(X minus its k-th element), k = 1..r+1
@@ -203,7 +203,7 @@ class Phirotope:
         drop_sgn = np.empty((len(xsubs), r + 1))
         for ix, x in enumerate(xsubs):
             for k in range(r + 1):
-                drop_idx[ix, k] = self._index[x[:k] + x[k + 1:]]
+                drop_idx[ix, k] = index[x[:k] + x[k + 1:]]
                 drop_sgn[ix, k] = (-1) ** (k + 1)
         # second factor, precomputed per (element, Y): phi(element, *Y)
         elem_idx = np.zeros((n + 1, len(ysubs)), dtype=int)
@@ -214,7 +214,7 @@ class Phirotope:
                 if e in yset:
                     continue  # repeated index, term vanishes (sign stays 0)
                 srt, sign = sort_with_sign((e,) + y)
-                elem_idx[e, iy] = self._index[srt]
+                elem_idx[e, iy] = index[srt]
                 elem_sgn[e, iy] = sign
         first = drop_sgn * v[drop_idx]                       # (nX, r+1)
         xelems = np.asarray(xsubs)                           # (nX, r+1)
@@ -234,14 +234,14 @@ class Phirotope:
         if self.n != other.n or self.r != other.r:
             return False
         tol = tol or self.tolerance
-        return all(self.values[b].isclose(other.values[b], tol) for b in self._bases)
+        return self.max_angular_distance(other) < tol.eps
 
     def max_angular_distance(self, other: "Phirotope") -> float:
         """Largest circular distance between corresponding nonzero values;
         infinity on a zero/nonzero mismatch."""
         worst = 0.0
-        for b in self._bases:
-            p, q = self.values[b], other.values[b]
+        for b, p in self.values.items():
+            q = other.values[b]
             if p.is_zero != q.is_zero:
                 return math.inf
             if not p.is_zero:
@@ -252,6 +252,19 @@ class Phirotope:
         return f"Phirotope(n={self.n}, r={self.r})"
 
 
+def minor_phases(m: ComplexMatrix) -> dict[tuple, Phase]:
+    """Phase of every maximal minor of m, basis -> Phase in lex order.
+
+    A minor is zero when its magnitude is below ``ZERO_MAGNITUDE_CUTOFF``
+    times the largest minor magnitude of m, so which minors vanish does not
+    depend on the scale of m.
+    """
+    minors = all_maximal_minors(m)
+    cutoff = ZERO_MAGNITUDE_CUTOFF * max(map(abs, minors.values()))
+    return {b: ZERO if d == 0 or abs(d) < cutoff else Phase.from_angle(cmath.phase(d))
+            for b, d in minors.items()}
+
+
 def from_matrix(m: ComplexMatrix, tolerance: Tolerance = DEFAULT_TOLERANCE) -> Phirotope:
     """The phirotope of a full-row-rank matrix: basis -> phase of its minor.
 
@@ -259,8 +272,7 @@ def from_matrix(m: ComplexMatrix, tolerance: Tolerance = DEFAULT_TOLERANCE) -> P
     (minors of an actual matrix satisfy the classical relations), so
     construction-time validation is skipped.
     """
-    minors = all_maximal_minors(m)
-    values = {b: phase_of(d) for b, d in minors.items()}
+    values = minor_phases(m)
     if all(p.is_zero for p in values.values()):
         raise RankDeficientError("matrix has no nonzero maximal minor")
     return Phirotope(m.cols, m.rows, values, tolerance, validate=False)

@@ -23,7 +23,9 @@ from .canonical import (
     canonicalize,
     entry_phase,
     is_canonical,
+    is_real_valued,
     minor_phase,
+    tree_potentials,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -32,15 +34,9 @@ from .errors import (
     NonSpanningForestError,
     NotCanonicalError,
 )
-from .matrices import ComplexMatrix, all_maximal_minors
-from .phases import (
-    VERIFY_TOLERANCE,
-    Phase,
-    TriangleEquation,
-    phase_of,
-    triangle_solve,
-)
-from .phirotopes import Phirotope, Rephasing, is_uniform
+from .matrices import ComplexMatrix
+from .phases import VERIFY_TOLERANCE, Phase, TriangleEquation, triangle_solve
+from .phirotopes import Phirotope, Rephasing, is_uniform, minor_phases
 
 ESSENTIALLY_ORIENTED = "essentially_oriented"
 NOT_UNIFORM = "not_uniform"
@@ -121,12 +117,12 @@ def reconstruct(canonical: Phirotope) -> ComplexMatrix:
     """Rebuild the canonical realization (I|N) of a uniform canonical phirotope.
 
     Entry phases come straight from the phirotope; tree norms are 1; the rest
-    are solved in four passes of triangular equations, anchored at non-real
-    entries (smallest row-major anchor when several exist).  Phases are
+    are solved in four passes of triangular equations (row-major within a
+    pass), each against an anchor built from non-real entries.  Phases are
     judged within ``canonical.tolerance``.  Raises
-    :class:`EssentiallyOrientedError` if no non-real anchor exists and
-    :class:`InfeasibleTriangleError` when some equation has no positive
-    solution (evidence of non-realizability).
+    :class:`EssentiallyOrientedError` if some entry needs pass 4 and no
+    non-real entry exists, and :class:`InfeasibleTriangleError` when some
+    equation has no positive solution (evidence of non-realizability).
     """
     r, n = canonical.r, canonical.n
     if not is_uniform(canonical):
@@ -136,40 +132,28 @@ def reconstruct(canonical: Phirotope) -> ComplexMatrix:
 
     alpha = {(i, j): entry_phase(canonical, i, j)
              for i in range(1, r + 1) for j in range(r + 1, n + 1)}
-    real = {key: p.is_real(canonical.tolerance) for key, p in alpha.items()}
-    norms = _tree_norms(r, n)
-
-    free_cols = range(r + 2, n + 1)
-    # pass 1: non-real entries, against the all-ones row r and column r+1
-    for i in range(1, r):
-        for j in free_cols:
-            if not real[(i, j)]:
-                _solve_entry(canonical, alpha, norms, i, r, j, r + 1)
-    # pass 2: real entries in a row that has a non-real entry
-    for i in range(1, r):
-        anchors = [j for j in free_cols if not real[(i, j)]]
-        if not anchors:
-            continue
-        k = anchors[0]
-        for j in free_cols:
-            if real[(i, j)]:
-                _solve_entry(canonical, alpha, norms, i, r, j, k)
-    # pass 3: all-real rows, entries in a column that has a non-real entry
-    for i in range(1, r):
-        if any(not real[(i, j)] for j in free_cols):
-            continue
-        for j in free_cols:
-            col_anchors = [m for m in range(1, r) if not real[(m, j)]]
-            if col_anchors:
-                _solve_entry(canonical, alpha, norms, i, col_anchors[0], j, r + 1)
-    # pass 4: the remaining (all-real rows and columns) entries, in row-major
-    # order, against any non-real anchor entry
-    anchor = next(((m, k) for m in range(1, r) for k in free_cols if not real[(m, k)]), None)
-    for i, j in (np.argwhere(np.isnan(norms)) + 1).tolist():
-        if anchor is None:
+    free = [(i, j) for i in range(1, r) for j in range(r + 2, n + 1)]
+    real = {key: alpha[key].is_real(canonical.tolerance) for key in free}
+    non_real = [key for key in free if not real[key]]
+    row_anchor, col_anchor = {}, {}  # first non-real column of a row, row of a column
+    for i, j in non_real:
+        row_anchor.setdefault(i, j)
+        col_anchor.setdefault(j, i)
+    plan = []  # (pass, i, j, m, k): solve (i, j) from the minor on rows {i, m}, cols {j, k}
+    for i, j in free:
+        if not real[(i, j)]:  # against the all-ones row r and column r+1
+            plan.append((1, i, j, r, r + 1))
+        elif i in row_anchor:
+            plan.append((2, i, j, r, row_anchor[i]))
+        elif j in col_anchor:
+            plan.append((3, i, j, col_anchor[j], r + 1))
+        elif non_real:  # all-real row and column: against the first non-real entry
+            plan.append((4, i, j) + non_real[0])
+        else:
             raise EssentiallyOrientedError(
                 "no non-real entry available to anchor the reconstruction")
-        m, k = anchor
+    norms = _tree_norms(r, n)
+    for _, i, j, m, k in sorted(plan):
         _solve_entry(canonical, alpha, norms, i, m, j, k)
 
     angles = np.zeros((r, n))
@@ -187,12 +171,10 @@ def verify(phi: Phirotope, m: ComplexMatrix) -> Optional[Witness]:
     """
     if m.rows != phi.r or m.cols != phi.n:
         raise ValueError("matrix dimensions do not match the phirotope")
-    minors = all_maximal_minors(m)
-    for basis in phi.sorted_bases():
-        expected = phi.values[basis]
-        computed = phase_of(minors[basis])
-        if not expected.isclose(computed, VERIFY_TOLERANCE):
-            return Witness(basis, expected, computed)
+    computed = minor_phases(m)
+    for basis, expected in phi.values.items():
+        if not expected.isclose(computed[basis], VERIFY_TOLERANCE):
+            return Witness(basis, expected, computed[basis])
     return None
 
 
@@ -216,7 +198,7 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
         canon = canonicalize(phi)
     except DisconnectedGraphError as exc:
         return Unsupported(DISCONNECTED, detail=str(exc))
-    if all(p.is_real(phi.tolerance) for p in canon.canonical.values.values()):
+    if is_real_valued(canon.canonical):
         return Unsupported(ESSENTIALLY_ORIENTED)
     try:
         matrix = reconstruct(canon.canonical)
@@ -262,7 +244,7 @@ def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,
     if any(v <= 0.0 for v in values):
         raise ValueError("tree values must be positive")
     uf = _UnionFind(n + 1)
-    adjacency = {v: [] for v in range(1, n + 1)}
+    deltas = []
     for (i, j), val in zip(forest.edges, values):
         if not (1 <= i <= r < j <= n):
             raise NonSpanningForestError(f"edge ({i}, {j}) is not row-column")
@@ -270,27 +252,13 @@ def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,
             raise NonSpanningForestError(f"edge ({i}, {j}) closes a cycle")
         if m.entry_norm(i, j) == 0.0:
             raise NonSpanningForestError(f"forest edge ({i}, {j}) sits on a zero entry")
-        # log-potential constraint p[i] + p[j] = delta, symmetric in i and j
-        delta = math.log(val) - math.log(m.entry_norm(i, j))
-        adjacency[i].append((j, delta))
-        adjacency[j].append((i, delta))
-
-    potential = {}
-    for root in range(1, n + 1):
-        if root in potential:
-            continue
-        potential[root] = 0.0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, delta in adjacency[v]:
-                if w in potential:
-                    continue
-                potential[w] = delta - potential[v]
-                stack.append(w)
+        deltas.append(math.log(val) - math.log(m.entry_norm(i, j)))
+    # q = -log(row scalar) on rows and +log(column scalar) on columns, so the
+    # factor on entry (i, j) is exp(q[j] - q[i]) and an edge fixes q[j] - q[i]
+    q = tree_potentials(n, forest.edges, deltas, 1)
 
     norms = m.norms.copy()
     for i in range(1, r + 1):
         for j in range(r + 1, n + 1):
-            norms[i - 1, j - 1] *= math.exp(potential[i] + potential[j])
+            norms[i - 1, j - 1] *= math.exp(q[j] - q[i])
     return ComplexMatrix(norms, m.angles)

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -150,8 +154,13 @@ def _matrix_with_entry(entry):
     ("from-matrix", _matrix_with_entry({"norm": 1.0, "angle_over_pi": float("-inf")})),
     ("from-matrix", {"rows": 2, "cols": 1,
                      "entries": [[{"norm": 1.0, "angle_over_pi": 0.0}], [None]]}),
+    ("from-matrix", {"rows": True, "cols": 2, "entries": [[None, None]]}),
+    ("validate", {"n": True, "r": True,
+                  "values": [{"basis": [1], "phase": {"angle_over_pi": 0.5}}]}),
+    ("validate", {"n": 1, "r": 1,
+                  "values": [{"basis": [True], "phase": {"angle_over_pi": 0.5}}]}),
 ], ids=["nan-phase", "inf-phase", "huge-int-phase", "text-norm", "nan-norm",
-        "inf-angle", "cols-below-rows"])
+        "inf-angle", "cols-below-rows", "bool-rows", "bool-n-r", "bool-basis"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -185,3 +194,18 @@ def test_edge_inputs_exit_cleanly(tmp_path, capsys, command, doc, code, result):
         assert report == {"error": "matrix is 3 x 5, phirotope needs 3 x 6"}
     else:
         assert report["result"] == result
+
+
+def test_huge_count_with_short_values_exits_2_quickly(tmp_path):
+    """C(1e8, 5e7) takes minutes to compute; a list shorter than n is short
+    without it.  Run in a subprocess so that a regression fails, not hangs."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"n": 100000000, "r": 50000000, "values": []}')
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "phasedmatroids.cli", "validate",
+                           "--input", str(path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert set(json.loads(proc.stdout)) == {"error"}

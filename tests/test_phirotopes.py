@@ -24,7 +24,11 @@ from phasedmatroids import (
     scale_global,
     sort_with_sign,
     underlying_matroid,
+    verify,
 )
+from phasedmatroids.jsonio import matrix_from_json
+
+from conftest import load_fixture
 
 
 def test_sort_with_sign():
@@ -194,3 +198,23 @@ def test_non_matroid_support_violates_gp_at_the_exchange_pair():
     values[(3, 4)] = Phase.from_angle_over_pi(0.5)
     phi = Phirotope(4, 2, values, validate=False)
     assert ((1, 3, 4), (2,)) in phi.check_gp()
+
+
+def _scaling_cases():
+    rng = np.random.default_rng(0)
+    for r, n in ((3, 6), (2, 5), (4, 7)):
+        yield f"gaussian-{r}x{n}", ComplexMatrix.from_complex(
+            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))
+    yield "runex", matrix_from_json(load_fixture("runex_matrix.json"))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3])
+@pytest.mark.parametrize("name, m", list(_scaling_cases()),
+                         ids=[name for name, _ in _scaling_cases()])
+def test_minor_phases_do_not_change_when_the_matrix_is_scaled(name, m, c):
+    phi = from_matrix(m)
+    scaled = ComplexMatrix(m.norms * c, m.angles)
+    psi = from_matrix(scaled)
+    assert [p.is_zero for p in psi.values.values()] == [p.is_zero for p in phi.values.values()]
+    assert phi.max_angular_distance(psi) < 1e-12
+    assert verify(phi, scaled) is None

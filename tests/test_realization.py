@@ -15,6 +15,7 @@ from phasedmatroids import (
     Phase,
     Phirotope,
     Realizable,
+    Rephasing,
     Unsupported,
     associated_bipartite_graph,
     canonical_spanning_forest,
@@ -24,6 +25,7 @@ from phasedmatroids import (
     normalize_to_tree,
     rank2_norm,
     reconstruct,
+    rephase,
     scale_global,
     to_standard_form,
     underlying_matroid,
@@ -217,3 +219,43 @@ def test_uniqueness_of_canonical_point():
             associated_bipartite_graph(underlying_matroid(result.canonical)))
         renormed = normalize_to_tree(std, forest, [1.0] * len(forest.edges))
         assert renormed.max_distance(verdict.matrix) < 1e-6
+
+
+def _rephasing_cases():
+    """60 seeded phirotopes of complex Gaussian matrices, r 2-4, n r+2..8; the
+    last value of every third one is rotated by 1e-3 rad."""
+    rng = np.random.default_rng(46)
+    for t in range(60):
+        r = 2 + (t // 3) % 3
+        n = int(rng.integers(r + 2, 9))
+        phi = from_matrix(ComplexMatrix.from_complex(
+            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))))
+        if t % 3 == 2:
+            values = dict(phi.values)
+            last = phi.sorted_bases()[-1]
+            values[last] = values[last] * Phase(1e-3)
+            phi = Phirotope(n, r, values, validate=False)
+        yield phi, rng
+
+
+def _verdict_summary(v):
+    """Verdict class and its reason: the witness basis, the infeasible minor
+    (without the solver's numbers) or the Unsupported reason."""
+    if isinstance(v, NotRealizable):
+        return "NotRealizable", v.witness.basis if v.witness else v.infeasible_equation.split(":")[0]
+    if isinstance(v, Unsupported):
+        return "Unsupported", v.reason
+    return "Realizable", None
+
+
+def test_realize_verdicts_do_not_change_under_rephasing():
+    classes = set()
+    for phi, rng in _rephasing_cases():
+        rho = Rephasing(tuple(Phase.from_angle(a) for a in rng.uniform(0, 2 * math.pi, phi.n)))
+        moved = scale_global(rephase(phi, rho), Phase.from_angle(rng.uniform(0, 2 * math.pi)))
+        before, after = decide_realizability(phi), decide_realizability(moved)
+        assert _verdict_summary(after) == _verdict_summary(before)
+        if isinstance(before, Realizable):
+            assert after.matrix.max_distance(before.matrix) < 1e-9
+        classes.add(_verdict_summary(before)[0])
+    assert classes >= {"Realizable", "NotRealizable"}
