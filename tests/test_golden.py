@@ -1,8 +1,12 @@
 """Golden outputs: the exit code and the sha256 of stdout of fixed CLI runs.
 
 Every fixture runs under six commands with three flag sets, plus ``verify`` on
-the realizable rank-3 pair.  A refactor that should keep the output bytes must
-keep these hashes.  Provenance hashes the input file's bytes, not its path, so
+the realizable rank-3 pair.  The inputs in ``golden_inputs/`` cover the
+negative and error paths: a GP-invalid phirotope, a matrix that does not
+realize its phirotope, {1..r} not a basis, an all-zero matrix, a disconnected
+n = r = 2 phirotope and an out-of-range ``--tol``; they are not in
+``fixtures/``, which holds valid inputs only.  A refactor that should keep the
+output bytes must keep these hashes.  Provenance hashes the input file's bytes, not its path, so
 the recorded hashes do not depend on where the repository lives.
 
 Regenerate the data (only when an output is meant to change) with
@@ -22,18 +26,32 @@ from phasedmatroids.cli import run
 from conftest import FIXTURES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_outputs.json"
+GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden_inputs"
 COMMANDS = ["validate", "from-matrix", "canonicalize", "orient-check", "realize", "tree"]
 FLAGS = {"default": [], "pretty": ["--pretty"], "tol-1e-6": ["--tol", "1e-6"]}
 VERIFY_PAIR = ("realizable_rank3_phirotope.json", "realizable_rank3_canonical_matrix.json")
+#: (file in golden_inputs/, commands, flag id, flags): the exit is 1, 2 or 3
+NEGATIVE_CASES = [
+    ("gp_invalid_phirotope.json", ["validate", "realize", "canonicalize", "tree"], "default", []),
+    ("verify_not_realizing_pair.json", ["verify"], "default", []),
+    ("first_subset_not_basis_phirotope.json", ["canonicalize", "tree"], "default", []),
+    ("zero_matrix.json", ["from-matrix"], "default", []),
+    ("two_element_rank2_phirotope.json", ["realize"], "default", []),
+    ("gp_invalid_phirotope.json", ["validate"], "tol-1.0", ["--tol", "1.0"]),
+]
 
 
 def _cases():
-    """(case id, input file name, argv after --input) for every golden run."""
+    """(case id, input path, command, flags) for every golden run; the input
+    path is None for the verify pair, which is assembled from two fixtures."""
     for path in sorted(FIXTURES.glob("*.json")):
         for command in COMMANDS:
             for flag_id, flags in FLAGS.items():
-                yield f"{command}:{path.name}:{flag_id}", path.name, [command], flags
+                yield f"{command}:{path.name}:{flag_id}", path, [command], flags
     yield f"verify:{VERIFY_PAIR[0]}+{VERIFY_PAIR[1]}:default", None, ["verify"], []
+    for name, commands, flag_id, flags in NEGATIVE_CASES:
+        for command in commands:
+            yield f"{command}:{name}:{flag_id}", GOLDEN_INPUTS / name, [command], flags
 
 
 def _verify_pair_bytes() -> bytes:
@@ -42,12 +60,10 @@ def _verify_pair_bytes() -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
-def _run(name, command, flags, tmp_dir: pathlib.Path):
-    if name is None:
+def _run(path, command, flags, tmp_dir: pathlib.Path):
+    if path is None:
         path = tmp_dir / "verify_pair.json"
         path.write_bytes(_verify_pair_bytes())
-    else:
-        path = FIXTURES / name
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run(command + ["--input", str(path)] + flags)
@@ -58,20 +74,20 @@ CASES = list(_cases())
 
 
 def test_golden_covers_every_case():
-    assert len(CASES) == 91
+    assert len(CASES) == 101
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(c[0] for c in CASES)
 
 
-@pytest.mark.parametrize("case, name, command, flags", CASES, ids=[c[0] for c in CASES])
-def test_golden_output(tmp_path, case, name, command, flags):
-    assert _run(name, command, flags, tmp_path) == json.loads(GOLDEN.read_text())[case]
+@pytest.mark.parametrize("case, path, command, flags", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(tmp_path, case, path, command, flags):
+    assert _run(path, command, flags, tmp_path) == json.loads(GOLDEN.read_text())[case]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        data = {case: _run(name, command, flags, pathlib.Path(tmp))
-                for case, name, command, flags in CASES}
+        data = {case: _run(path, command, flags, pathlib.Path(tmp))
+                for case, path, command, flags in CASES}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} cases to {GOLDEN}")
