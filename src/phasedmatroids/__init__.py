@@ -47,13 +47,10 @@ from .phases import (
     MINUS_ONE,
     ONE,
     ZERO,
-    HypersumSet,
     Phase,
     Tolerance,
     TriangleEquation,
     circular_distance,
-    contains_zero,
-    hypersum,
     phase_of,
     triangle_solve,
     zero_in_hypersum,

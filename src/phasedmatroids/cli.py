@@ -25,7 +25,6 @@ from .errors import (
     FirstSubsetNotBasisError,
     InvalidPhirotopeError,
     PhasedMatroidError,
-    RankDeficientError,
 )
 from .phases import DEFAULT_TOLERANCE, Tolerance
 from .phirotopes import from_matrix, underlying_matroid
@@ -132,53 +131,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = sys.stdout
-
-    def emit(report):
-        text = jsonio.dumps(report, pretty=args.pretty)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            out.write(text)
-
+def _execute(args) -> tuple[dict, int]:
+    """The report and exit code of one parsed command line."""
     try:
         tol = Tolerance(args.tol)
     except ValueError as exc:
-        emit({"error": str(exc)})
-        return EXIT_MALFORMED
+        return {"error": str(exc)}, EXIT_MALFORMED
     try:
         with open(args.input, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        emit({"error": str(exc)})
-        return EXIT_MALFORMED
+        return {"error": str(exc)}, EXIT_MALFORMED
     try:
         doc = json.loads(raw)
-    except ValueError as exc:
-        emit({"error": f"invalid JSON: {exc}"})
-        return EXIT_MALFORMED
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        return {"error": f"invalid JSON: {exc}"}, EXIT_MALFORMED
 
     try:
         report, code = COMMANDS[args.command](doc, tol)
     except jsonio.FormatError as exc:
-        emit({"error": str(exc)})
-        return EXIT_MALFORMED
+        return {"error": str(exc)}, EXIT_MALFORMED
     except InvalidPhirotopeError as exc:
-        emit({"error": str(exc), "violations": _violations_json(exc.violations)})
-        return EXIT_NEGATIVE
+        return {"error": str(exc), "violations": _violations_json(exc.violations)}, EXIT_NEGATIVE
     except (DisconnectedGraphError, FirstSubsetNotBasisError) as exc:
-        emit({"error": str(exc)})
-        return EXIT_UNSUPPORTED
-    except (RankDeficientError, PhasedMatroidError) as exc:
-        emit({"error": str(exc)})
-        return EXIT_MALFORMED
+        return {"error": str(exc)}, EXIT_UNSUPPORTED
+    except PhasedMatroidError as exc:
+        return {"error": str(exc)}, EXIT_MALFORMED
+    return {"command": args.command, "provenance": _provenance(raw, tol),
+            "result": report}, code
 
-    report = {"command": args.command, "provenance": _provenance(raw, tol),
-              "result": report}
-    emit(report)
+
+def run(argv=None) -> int:
+    """Run one command; the report goes to ``--output``, or to stdout when
+    ``--output`` is not given or cannot be written."""
+    args = build_parser().parse_args(argv)
+    report, code = _execute(args)
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(jsonio.dumps(report, pretty=args.pretty))
+            return code
+        except OSError as exc:
+            report, code = {"error": str(exc)}, EXIT_MALFORMED
+    sys.stdout.write(jsonio.dumps(report, pretty=args.pretty))
     return code
 
 

@@ -46,6 +46,14 @@ def _finite(x: Any, name: str) -> float:
     return float(x)
 
 
+def _angle(x: Any, name: str) -> float:
+    """x * pi in radians, for a finite x whose product with pi is finite."""
+    angle = _finite(x, name) * math.pi
+    if not math.isfinite(angle):
+        raise FormatError(f"{name} is too large, got {x!r}")
+    return angle
+
+
 def _integer(x: Any) -> bool:
     """Whether x is a JSON integer; Python's json reads true and false as
     bools, which are ints to isinstance, and both are refused."""
@@ -57,7 +65,7 @@ def phase_from_json(obj: Any) -> Phase:
         return Phase(None)
     if not isinstance(obj, dict) or set(obj) != {"angle_over_pi"}:
         raise FormatError(f"expected null or {{'angle_over_pi': x}}, got {obj!r}")
-    return Phase.from_angle_over_pi(_finite(obj["angle_over_pi"], "angle_over_pi"))
+    return Phase.from_angle(_angle(obj["angle_over_pi"], "angle_over_pi"))
 
 
 def matrix_to_json(m: ComplexMatrix) -> dict:
@@ -101,7 +109,7 @@ def matrix_from_json(obj: Any) -> ComplexMatrix:
             if norm < 0.0:
                 raise FormatError(f"negative norm at {at}")
             norms[i, j] = norm
-            angles[i, j] = _finite(e["angle_over_pi"], f"angle_over_pi at {at}") * math.pi
+            angles[i, j] = _angle(e["angle_over_pi"], f"angle_over_pi at {at}")
     return ComplexMatrix(norms, angles)
 
 

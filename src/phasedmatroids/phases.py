@@ -1,11 +1,11 @@
 """Phase arithmetic on the unit circle together with the zero phase.
 
 A phase is either the zero phase or a point of the unit circle, stored as a
-normalized angle in [0, 2*pi).  The hypersum of a finite phase set is the set
-of phases reachable by strictly positive linear combinations; it is computed
-symbolically (empty / finite / open arc / full circle) from the angular order
-statistics of the input.  The triangular-equation solver recovers the one
-unknown positive norm in gamma = ph(s1*alpha - s2*beta).
+normalized angle in [0, 2*pi).  Zero lies in the hypersum of a finite phase
+set when some strictly positive combination of the phases vanishes;
+``zero_in_hypersum_batch`` decides that for many sets at once, and every
+Grassmann-Pluecker verdict goes through it.  The triangular-equation solver
+recovers the one unknown positive norm in gamma = ph(s1*alpha - s2*beta).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -152,107 +152,17 @@ def phase_of(z: complex) -> Phase:
     return Phase(_normalize(cmath.phase(z)))
 
 
-@dataclass(frozen=True)
-class HypersumSet:
-    """Symbolic value of the hypersum of a finite phase set.
-
-    ``variant`` is one of ``"empty"``, ``"finite"``, ``"arc"`` and ``"full"``.
-    For arcs the set is the open arc from ``start`` to ``end`` counterclockwise
-    (``end - start`` in (0, pi] mod 2*pi), excluding both endpoints, plus the
-    zero phase iff ``includes_zero``.  The full circle always contains zero.
-    """
-
-    variant: str
-    phases: tuple = ()
-    start: Optional[float] = None
-    end: Optional[float] = None
-    includes_zero: bool = False
-
-    @classmethod
-    def empty(cls):
-        return cls("empty")
-
-    @classmethod
-    def finite(cls, phases: Iterable[Phase]):
-        return cls("finite", phases=tuple(phases))
-
-    @classmethod
-    def arc(cls, start: float, end: float, includes_zero: bool = False):
-        return cls("arc", start=_normalize(start), end=_normalize(end),
-                   includes_zero=includes_zero)
-
-    @classmethod
-    def full(cls):
-        return cls("full")
-
-
-def _distinct_sorted_angles(angles: Sequence[float], eps: float) -> list[float]:
-    """Cluster angles within eps (circularly) and return one representative each."""
-    if not angles:
-        return []
-    srt = sorted(_normalize(a) for a in angles)
-    out = [srt[0]]
-    for a in srt[1:]:
-        if a - out[-1] > eps:
-            out.append(a)
-    # first and last may be the same cluster across the 0/2*pi seam
-    if len(out) > 1 and TAU - (out[-1] - out[0]) <= eps:
-        out.pop()
-    return out
-
-
-def hypersum(phases: Iterable[Phase], tol: Tolerance = DEFAULT_TOLERANCE) -> HypersumSet:
-    """Hypersum of a finite phase multiset.
-
-    The multiset is treated as a set of distinct phases under tolerance.  Zero
-    elements contribute nothing to a strictly positive combination, so they are
-    absorbed, except that a multiset of only zeros sums to {zero}.
-    """
-    items = list(phases)
-    if not items:
-        return HypersumSet.empty()
-    nonzero = [p for p in items if not p.is_zero]
-    if not nonzero:
-        return HypersumSet.finite([ZERO])
-    angles = _distinct_sorted_angles([p.angle for p in nonzero], tol.eps)
-    if len(angles) == 1:
-        return HypersumSet.finite([Phase(angles[0])])
-    if len(angles) == 2 and circular_distance(angles[0] + math.pi, angles[1]) < tol.eps:
-        mu = Phase(angles[0])
-        return HypersumSet.finite([mu, ZERO, -mu])
-    gaps = [angles[i + 1] - angles[i] for i in range(len(angles) - 1)]
-    gaps.append(TAU - (angles[-1] - angles[0]))
-    gi = max(range(len(gaps)), key=gaps.__getitem__)
-    if gaps[gi] < math.pi - tol.eps:
-        # nonzero phases do not fit in a closed half-circle
-        return HypersumSet.full()
-    start = angles[(gi + 1) % len(angles)]
-    span = min(TAU - gaps[gi], math.pi)
-    return HypersumSet.arc(start, start + span, includes_zero=False)
-
-
-def contains_zero(hs: HypersumSet) -> bool:
-    """True iff the zero phase belongs to the symbolic hypersum set."""
-    if hs.variant == "empty":
-        return False
-    if hs.variant == "finite":
-        return any(p.is_zero for p in hs.phases)
-    if hs.variant == "arc":
-        return hs.includes_zero
-    return True  # full circle
-
-
-def zero_in_hypersum(phases: Iterable[Phase], tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Shortcut for ``contains_zero(hypersum(phases))``."""
-    return contains_zero(hypersum(phases, tol))
-
-
 def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorized ``zero_in_hypersum`` over the rows of a complex array.
+    """Zero membership of the hypersum, for each row of a complex array.
 
     ``units`` has shape (rows, m); each entry is a unit complex number or 0.
-    Returns a boolean array of length rows.  Used by the Grassmann-Pluecker
-    checker, where every row is the term multiset of one (X, Y) pair.
+    Zero entries contribute nothing, and a row of zeros sums to zero.  Zero is
+    in the hypersum when the largest angular gap between the nonzero phases
+    is below pi - eps (they do not fit in a closed half-circle), or when gaps
+    above eps split them into exactly two clusters whose first angles are
+    antipodal within eps.  Returns a boolean array of length rows.  Used by
+    the Grassmann-Pluecker checker, where every row is the term multiset of
+    one (X, Y) pair.
     """
     rows, m = units.shape
     out = np.zeros(rows, dtype=bool)
@@ -288,6 +198,16 @@ def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
             antip[two] = np.abs(d - math.pi) < eps
         out[rows_c] = full | antip
     return out
+
+
+def zero_in_hypersum(phases: Iterable[Phase], tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Whether some strictly positive combination of the phases is zero: the
+    one-row case of ``zero_in_hypersum_batch``.  Zero phases contribute
+    nothing; the empty set has no combination and gives False."""
+    units = [p.unit() for p in phases]
+    if not units:
+        return False
+    return bool(zero_in_hypersum_batch(np.array([units]), tol.eps)[0])
 
 
 @dataclass(frozen=True)

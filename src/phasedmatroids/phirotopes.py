@@ -257,9 +257,18 @@ def minor_phases(m: ComplexMatrix) -> dict[tuple, Phase]:
 
     A minor is zero when its magnitude is below ``ZERO_MAGNITUDE_CUTOFF``
     times the largest minor magnitude of m, so which minors vanish does not
-    depend on the scale of m.
+    depend on the scale of m.  Minors that overflow, or whose cutoff is not a
+    normal float, are recomputed from m times the power of two that puts its
+    largest norm in [0.5, 1); other matrices are used as they are, because
+    LAPACK's determinant (r > 3) rounds its phases differently at another scale.
     """
-    minors = all_maximal_minors(m)
+    with np.errstate(all="ignore"):  # overflow is detected below
+        minors = all_maximal_minors(m)
+    magnitudes = np.abs(list(minors.values()))
+    if not (np.isfinite(magnitudes).all()
+            and ZERO_MAGNITUDE_CUTOFF * magnitudes.max() >= np.finfo(float).tiny):
+        exponent = np.frexp(m.norms.max())[1]
+        minors = all_maximal_minors(ComplexMatrix(np.ldexp(m.norms, -exponent), m.angles))
     cutoff = ZERO_MAGNITUDE_CUTOFF * max(map(abs, minors.values()))
     return {b: ZERO if d == 0 or abs(d) < cutoff else Phase.from_angle(cmath.phase(d))
             for b, d in minors.items()}

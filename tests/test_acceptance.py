@@ -170,7 +170,7 @@ def test_criterion_5_tree_parametrization():
 
 
 def test_criterion_6_hypersum_oracle():
-    with _report(6, "symbolic hypersum zero-membership agrees with the "
+    with _report(6, "hypersum zero-membership agrees with the "
                     "brute-force optimizer on 1000 random sets"):
         start = time.perf_counter()
         rng = np.random.default_rng(6)

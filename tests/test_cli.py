@@ -159,12 +159,25 @@ def _matrix_with_entry(entry):
                   "values": [{"basis": [1], "phase": {"angle_over_pi": 0.5}}]}),
     ("validate", {"n": 1, "r": 1,
                   "values": [{"basis": [True], "phase": {"angle_over_pi": 0.5}}]}),
+    ("validate", _phirotope_with_phase(1e308)),  # finite, but 1e308 * pi is not
+    ("from-matrix", _matrix_with_entry({"norm": 1.0, "angle_over_pi": 1e308})),
+    ("validate", "[" * 200_000),  # raw text: deeper than the JSON parser recurses
 ], ids=["nan-phase", "inf-phase", "huge-int-phase", "text-norm", "nan-norm",
-        "inf-angle", "cols-below-rows", "bool-rows", "bool-n-r", "bool-basis"])
+        "inf-angle", "cols-below-rows", "bool-rows", "bool-n-r", "bool-basis",
+        "overflow-angle-phase", "overflow-angle-entry", "deep-nesting"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, report = invoke(capsys, command, "--input", str(path))
+    assert code == 2
+    assert set(report) == {"error"}
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    """An --output path that cannot be opened sends the error to stdout."""
+    code, report = invoke(capsys, "validate",
+                          "--input", str(FIXTURES / "nonreal2ex_phirotope.json"),
+                          "--output", str(tmp_path / "missing" / "report.json"))
     assert code == 2
     assert set(report) == {"error"}
 

@@ -6,8 +6,9 @@ negative and error paths: a GP-invalid phirotope, a matrix that does not
 realize its phirotope, {1..r} not a basis, an all-zero matrix, a disconnected
 n = r = 2 phirotope and an out-of-range ``--tol``; they are not in
 ``fixtures/``, which holds valid inputs only.  A refactor that should keep the
-output bytes must keep these hashes.  Provenance hashes the input file's bytes, not its path, so
-the recorded hashes do not depend on where the repository lives.
+output bytes must keep these hashes.  Provenance hashes the input file's
+bytes, not its path, so the recorded hashes do not depend on where the
+repository lives.
 
 Regenerate the data (only when an output is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -1,4 +1,4 @@
-"""Symbolic hypersum zero-membership against the brute-force optimizer."""
+"""Zero membership of the hypersum against the brute-force optimizer."""
 
 import numpy as np
 
@@ -40,4 +40,4 @@ def test_batch_matches_scalar():
             units[i, j] = p.unit()
     batch = zero_in_hypersum_batch(units, 1e-9)
     for i, phases in enumerate(sets):
-        assert batch[i] == zero_in_hypersum(phases)
+        assert batch[i] == zero_in_hypersum_bruteforce(phases), phases

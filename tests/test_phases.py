@@ -1,4 +1,4 @@
-"""Phase arithmetic, hypersum cases and the triangular-equation solver."""
+"""Phase arithmetic, hypersum zero membership and the triangle solver."""
 
 import cmath
 import math
@@ -18,8 +18,6 @@ from phasedmatroids import (
     Tolerance,
     TriangleEquation,
     circular_distance,
-    contains_zero,
-    hypersum,
     phase_of,
     triangle_solve,
     zero_in_hypersum,
@@ -65,48 +63,16 @@ def test_tolerance_bounds():
         Tolerance(1.0)
 
 
-def test_hypersum_empty():
-    assert hypersum([]).variant == "empty"
-    assert not contains_zero(hypersum([]))
-
-
-def test_hypersum_antipodal_pair():
-    hs = hypersum([ONE, MINUS_ONE])
-    assert hs.variant == "finite"
-    assert len(hs.phases) == 3
-    assert contains_zero(hs)
-    assert any(p.is_zero for p in hs.phases)
-    assert any(not p.is_zero and p.isclose(ONE) for p in hs.phases)
-    assert any(not p.is_zero and p.isclose(MINUS_ONE) for p in hs.phases)
-
-
-def test_hypersum_two_phase_open_arc():
-    hs = hypersum([ONE, Phase.from_angle(math.pi / 2)])
-    assert hs.variant == "arc"
-    assert math.isclose(hs.start, 0.0, abs_tol=1e-12)
-    assert math.isclose(hs.end, math.pi / 2, abs_tol=1e-12)
-    assert not hs.includes_zero
-    assert not contains_zero(hs)
-
-
-def test_hypersum_full_circle():
-    hs = hypersum([Phase.from_angle_over_pi(x) for x in (0.0, 0.5, 1.0, 1.5)])
-    assert hs.variant == "full"
-    assert contains_zero(hs)
-
-
-def test_hypersum_single_phase_with_zero_element():
-    # strictly positive coefficients: the zero summand contributes nothing
-    mu = Phase.from_angle_over_pi(0.7)
-    hs = hypersum([mu, ZERO])
-    assert hs.variant == "finite"
-    assert len(hs.phases) == 1 and hs.phases[0].isclose(mu)
-
-
-def test_hypersum_all_zero():
-    hs = hypersum([ZERO, ZERO])
-    assert hs.variant == "finite"
-    assert contains_zero(hs)
+@pytest.mark.parametrize("phases, expected", [
+    ([], False),  # no strictly positive combination exists
+    ([ONE, MINUS_ONE], True),
+    ([ONE, Phase.from_angle(math.pi / 2)], False),  # an open quarter arc
+    ([Phase.from_angle_over_pi(x) for x in (0.0, 0.5, 1.0, 1.5)], True),
+    ([Phase.from_angle_over_pi(0.7), ZERO], False),  # the zero summand adds nothing
+    ([ZERO, ZERO], True),
+], ids=["empty", "antipodal-pair", "quarter-arc", "full-circle", "phase-and-zero", "all-zero"])
+def test_zero_in_hypersum(phases, expected):
+    assert zero_in_hypersum(phases) is expected
 
 
 @given(st.lists(angles, min_size=1, max_size=6), st.randoms())
@@ -116,10 +82,9 @@ def test_hypersum_order_and_multiplicity_insensitive(raw, rnd):
     shuffled = list(phases)
     rnd.shuffle(shuffled)
     doubled = phases + phases
-    base = hypersum(phases)
-    for other in (hypersum(shuffled), hypersum(doubled)):
-        assert base.variant == other.variant
-        assert contains_zero(base) == contains_zero(other)
+    base = zero_in_hypersum(phases)
+    assert zero_in_hypersum(shuffled) == base
+    assert zero_in_hypersum(doubled) == base
 
 
 def test_triangle_nonreal2ex_entry_norms():

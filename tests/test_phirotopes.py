@@ -208,7 +208,7 @@ def _scaling_cases():
     yield "runex", matrix_from_json(load_fixture("runex_matrix.json"))
 
 
-@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3])
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e150, 1e-200])
 @pytest.mark.parametrize("name, m", list(_scaling_cases()),
                          ids=[name for name, _ in _scaling_cases()])
 def test_minor_phases_do_not_change_when_the_matrix_is_scaled(name, m, c):
