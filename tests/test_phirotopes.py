@@ -1,6 +1,7 @@
 """Phirotope storage, alternation, validation and group actions."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from phasedmatroids import (
     verify,
 )
 from phasedmatroids.jsonio import matrix_from_json
+from phasedmatroids.phases import zero_in_hypersum_batch
 
 from conftest import load_fixture
 
@@ -198,6 +200,59 @@ def test_non_matroid_support_violates_gp_at_the_exchange_pair():
     values[(3, 4)] = Phase.from_angle_over_pi(0.5)
     phi = Phirotope(4, 2, values, validate=False)
     assert ((1, 3, 4), (2,)) in phi.check_gp()
+
+
+def _gp_oracle(phi):
+    """The violating (X, Y) pairs of phi, in lex order.  Each row
+    (-1)^k phi(X - x_k) phi(x_k, Y), k = 1..r+1, is built on its own from
+    Phirotope.value and sort_with_sign; the rows are then judged in one call
+    of the kernel, which treats every row on its own."""
+    ground = range(1, phi.n + 1)
+    pairs, rows = [], []
+    for x in itertools.combinations(ground, phi.r + 1):
+        for y in itertools.combinations(ground, phi.r - 1):
+            first, second = [], []
+            for k, xk in enumerate(x):
+                first.append((-1) ** (k + 1) * phi.value(x[:k] + x[k + 1:]).unit())
+                srt, sign = sort_with_sign((xk,) + y)
+                second.append(0j if sign == 0 else sign * phi.value(srt).unit())
+            pairs.append((x, y))
+            rows.append(np.array(first) * np.array(second))
+    if not rows:
+        return []
+    ok = zero_in_hypersum_batch(np.array(rows), phi.tolerance.eps)
+    return [pair for pair, good in zip(pairs, ok) if not good]
+
+
+def _gp_oracle_cases():
+    """Matrix-born phirotopes, uniform and with zeros in N, r = 1..4 and
+    n = r..r+5; half of them have 1-3 values rotated by 0.5-5.5 rad."""
+    rng = np.random.default_rng(28)
+    for r in range(1, 5):
+        for n in range(r, r + 6):
+            for zero_share, rotate in itertools.product((0.0, 0.4), (False, True)):
+                nmat = rng.normal(size=(r, n - r)) + 1j * rng.normal(size=(r, n - r))
+                nmat[rng.random(nmat.shape) < zero_share] = 0
+                left = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+                values = dict(from_matrix(ComplexMatrix.from_complex(
+                    left @ np.hstack([np.eye(r), nmat]))).values)
+                if rotate:
+                    nonzero = [b for b, p in values.items() if not p.is_zero]
+                    picks = rng.choice(len(nonzero), size=min(len(nonzero), int(rng.integers(1, 4))),
+                                       replace=False)
+                    for i in picks:
+                        b = nonzero[i]
+                        values[b] = Phase.from_angle(values[b].angle + rng.uniform(0.5, 5.5))
+                yield Phirotope(n, r, values, validate=False)
+
+
+def test_check_gp_matches_row_by_row_oracle():
+    invalid = 0
+    for phi in _gp_oracle_cases():
+        violations = phi.check_gp()
+        assert violations == _gp_oracle(phi), phi
+        invalid += bool(violations)
+    assert invalid >= 15
 
 
 def _scaling_cases():
