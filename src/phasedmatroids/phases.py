@@ -165,39 +165,27 @@ def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
     one (X, Y) pair.
     """
     rows, m = units.shape
-    out = np.zeros(rows, dtype=bool)
     nz = np.abs(units) > 0.5
     cnt = nz.sum(axis=1)
-    out[cnt == 0] = True  # nonempty all-zero multiset sums to {zero}
-    ang = np.where(nz, np.mod(np.angle(units), TAU), np.inf)
+    # zeros sort last, then repeat the last nonzero phase: the gaps after it are 0
+    ang = np.where(nz, np.mod(np.angle(units), TAU), TAU)
     ang.sort(axis=1)
-    for c in range(2, m + 1):
-        rows_c = np.nonzero(cnt == c)[0]
-        if rows_c.size == 0:
-            continue
-        a = ang[rows_c, :c]
-        gaps = np.empty((rows_c.size, c))
-        gaps[:, :-1] = np.diff(a, axis=1)
-        gaps[:, -1] = TAU - (a[:, -1] - a[:, 0])
-        maxgap = gaps.max(axis=1)
-        full = maxgap < math.pi - eps
-        # remaining rows fit in a closed half-circle: zero is present only for
-        # an exact antipodal pair of distinct phases
-        big = gaps > eps
-        nclusters = big.sum(axis=1)
-        # representative of each of the two clusters: first angle, and the
-        # first angle separated from it by more than eps
-        antip = np.zeros(rows_c.size, dtype=bool)
-        two = (~full) & (nclusters == 2)
-        if two.any():
-            a2 = a[two]
-            sep = (a2 - a2[:, :1]) > eps
-            other = np.where(sep, a2, np.inf).min(axis=1)
-            d = np.abs(other - a2[:, 0])
-            d = np.minimum(d, TAU - d)
-            antip[two] = np.abs(d - math.pi) < eps
-        out[rows_c] = full | antip
-    return out
+    np.minimum(ang, np.take_along_axis(ang, np.maximum(cnt - 1, 0)[:, None], axis=1), out=ang)
+    gaps = np.empty((rows, m))
+    gaps[:, :-1] = np.diff(ang, axis=1)
+    gaps[:, -1] = TAU - (ang[:, -1] - ang[:, 0])  # wrap-around gap
+    full = gaps.max(axis=1) < math.pi - eps
+    # remaining rows fit in a closed half-circle: zero is present only for an
+    # exact antipodal pair of distinct phases.  Gaps above eps split a row into
+    # clusters; for two of them, compare the first angle with the first angle
+    # separated from it by more than eps.
+    two = ~full & ((gaps > eps).sum(axis=1) == 2)
+    a = ang[two]
+    other = np.where(a - a[:, :1] > eps, a, np.inf).min(axis=1)
+    d = np.abs(other - a[:, 0])
+    antip = np.zeros(rows, dtype=bool)
+    antip[two] = np.abs(np.minimum(d, TAU - d) - math.pi) < eps
+    return (cnt == 0) | full | antip
 
 
 def zero_in_hypersum(phases: Iterable[Phase], tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

@@ -7,6 +7,7 @@ checks the combinatorial complex Grassmann-Pluecker relations: for every
 zero in its hypersum.  Y-subsets overlapping X are not skipped; since the map
 is alternating, reorderings of Y change all terms by a common sign, which
 never affects zero membership, so quantifying over sorted Y loses nothing.
+The rule is stated in docs/formats.md, section "Grassmann-Pluecker check".
 """
 
 from __future__ import annotations
@@ -180,10 +181,6 @@ class Phirotope:
             return ZERO
         return self.values[srt].times_sign(sign)
 
-    def unit_vector(self) -> np.ndarray:
-        """Values as unit complex numbers (0 for zero) in lex basis order."""
-        return np.array([p.unit() for p in self.values.values()], dtype=complex)
-
     def check_gp(self):
         """All (X, Y) pairs violating the Grassmann-Pluecker relations.
 
@@ -194,36 +191,23 @@ class Phirotope:
         n, r = self.n, self.r
         if n < r + 1:
             return []
-        v = self.unit_vector()
-        index = {b: k for k, b in enumerate(self.values)}
+        units = {b: p.unit() for b, p in self.values.items()}
         xsubs = list(itertools.combinations(range(1, n + 1), r + 1))
         ysubs = list(itertools.combinations(range(1, n + 1), r - 1))
-        # first factor: (-1)^k * phi(X minus its k-th element), k = 1..r+1
-        drop_idx = np.empty((len(xsubs), r + 1), dtype=int)
-        drop_sgn = np.empty((len(xsubs), r + 1))
-        for ix, x in enumerate(xsubs):
-            for k in range(r + 1):
-                drop_idx[ix, k] = index[x[:k] + x[k + 1:]]
-                drop_sgn[ix, k] = (-1) ** (k + 1)
-        # second factor, precomputed per (element, Y): phi(element, *Y)
-        elem_idx = np.zeros((n + 1, len(ysubs)), dtype=int)
-        elem_sgn = np.zeros((n + 1, len(ysubs)))
+        # ey[e, Y] = phi(e, *Y), 0 when e is in Y; row 0 is unused
+        ey = np.zeros((n + 1, len(ysubs)), dtype=complex)
         for iy, y in enumerate(ysubs):
-            yset = set(y)
             for e in range(1, n + 1):
-                if e in yset:
-                    continue  # repeated index, term vanishes (sign stays 0)
-                srt, sign = sort_with_sign((e,) + y)
-                elem_idx[e, iy] = index[srt]
-                elem_sgn[e, iy] = sign
-        first = drop_sgn * v[drop_idx]                       # (nX, r+1)
-        xelems = np.asarray(xsubs)                           # (nX, r+1)
-        second = elem_sgn[xelems] * v[elem_idx[xelems]]      # (nX, r+1, nY)
-        terms = first[:, None, :] * second.transpose(0, 2, 1)
-        flat = terms.reshape(-1, r + 1)
-        ok = zero_in_hypersum_batch(flat, self.tolerance.eps)
-        bad = np.nonzero(~ok)[0]
-        return [(xsubs[i // len(ysubs)], ysubs[i % len(ysubs)]) for i in sorted(bad)]
+                if e not in y:
+                    srt, sign = sort_with_sign((e,) + y)
+                    ey[e, iy] = sign * units[srt]
+        # dx[X, k] = (-1)^(k+1) phi(X minus its k-th element), k = 0..r
+        dx = np.array([[(-1) ** (k + 1) * units[x[:k] + x[k + 1:]] for k in range(r + 1)]
+                       for x in xsubs])
+        # terms[X, Y, k] in C order, so that one row per (X, Y) is a view
+        terms = np.multiply(dx[:, None, :], ey[np.asarray(xsubs)].transpose(0, 2, 1), order="C")
+        ok = zero_in_hypersum_batch(terms.reshape(-1, r + 1), self.tolerance.eps)
+        return [(xsubs[i // len(ysubs)], ysubs[i % len(ysubs)]) for i in np.nonzero(~ok)[0]]
 
     def __eq__(self, other):
         if not isinstance(other, Phirotope):
