@@ -94,11 +94,12 @@ def matrix_from_json(obj: Any) -> ComplexMatrix:
         raise FormatError("matrix rows/cols must be integers with 1 <= rows <= cols")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(f"expected {rows} entry rows")
+    for i, row in enumerate(entries):  # before allocating: cols is only declared
+        if not isinstance(row, list) or len(row) != cols:
+            raise FormatError(f"entry row {i + 1} must have {cols} entries")
     norms = np.zeros((rows, cols))
     angles = np.zeros((rows, cols))
     for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FormatError(f"entry row {i + 1} must have {cols} entries")
         for j, e in enumerate(row):
             if e is None:
                 continue

@@ -162,9 +162,10 @@ def _matrix_with_entry(entry):
     ("validate", _phirotope_with_phase(1e308)),  # finite, but 1e308 * pi is not
     ("from-matrix", _matrix_with_entry({"norm": 1.0, "angle_over_pi": 1e308})),
     ("validate", "[" * 200_000),  # raw text: deeper than the JSON parser recurses
+    ("from-matrix", {"rows": 1, "cols": 10 ** 13, "entries": [[]]}),  # 73 TiB if allocated
 ], ids=["nan-phase", "inf-phase", "huge-int-phase", "text-norm", "nan-norm",
         "inf-angle", "cols-below-rows", "bool-rows", "bool-n-r", "bool-basis",
-        "overflow-angle-phase", "overflow-angle-entry", "deep-nesting"])
+        "overflow-angle-phase", "overflow-angle-entry", "deep-nesting", "huge-cols"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
