@@ -167,8 +167,10 @@ def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
     rows, m = units.shape
     nz = np.abs(units) > 0.5
     cnt = nz.sum(axis=1)
+    ang = np.angle(units)
+    ang += TAU * (ang < 0)  # np.mod(ang, TAU) bit for bit, several times faster
     # zeros sort last, then repeat the last nonzero phase: the gaps after it are 0
-    ang = np.where(nz, np.mod(np.angle(units), TAU), TAU)
+    ang = np.where(nz, ang, TAU)
     ang.sort(axis=1)
     np.minimum(ang, np.take_along_axis(ang, np.maximum(cnt - 1, 0)[:, None], axis=1), out=ang)
     gaps = np.empty((rows, m))
