@@ -153,38 +153,46 @@ def phase_of(z: complex) -> Phase:
 
 
 def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
-    """Zero membership of the hypersum, for each row of a complex array.
+    """Zero membership of the hypersum, for each column of a complex array.
 
-    ``units`` has shape (rows, m); each entry is a unit complex number or 0.
-    Zero entries contribute nothing, and a row of zeros sums to zero.  Zero is
-    in the hypersum when the largest angular gap between the nonzero phases
-    is below pi - eps (they do not fit in a closed half-circle), or when gaps
-    above eps split them into exactly two clusters whose first angles are
-    antipodal within eps.  Returns a boolean array of length rows.  Used by
-    the Grassmann-Pluecker checker, where every row is the term multiset of
-    one (X, Y) pair.
+    ``units`` has shape (m, rows): column j holds the m phases of set j, each
+    a unit complex number or 0.  Zero entries contribute nothing, and a column
+    of zeros sums to zero.  Zero is in the hypersum when the largest angular
+    gap between the nonzero phases is below pi - eps (they do not fit in a
+    closed half-circle), or when gaps above eps split them into exactly two
+    clusters whose first angles are antipodal within eps.  Returns a boolean
+    array of length rows.  Used by the Grassmann-Pluecker checker, where every
+    column is the term multiset of one (X, Y) pair.  Every operation runs
+    along the long axis, over the m short rows; the sort is an odd-even
+    transposition network of exact minimum/maximum steps, so it gives the
+    same values as ``np.sort``.
     """
-    rows, m = units.shape
+    m, rows = units.shape
     nz = np.abs(units) > 0.5
-    cnt = nz.sum(axis=1)
+    cnt = nz.sum(axis=0)
     ang = np.angle(units)
     ang += TAU * (ang < 0)  # np.mod(ang, TAU) bit for bit, several times faster
     # zeros sort last, then repeat the last nonzero phase: the gaps after it are 0
-    ang = np.where(nz, ang, TAU)
-    ang.sort(axis=1)
-    np.minimum(ang, np.take_along_axis(ang, np.maximum(cnt - 1, 0)[:, None], axis=1), out=ang)
-    gaps = np.empty((rows, m))
-    gaps[:, :-1] = np.diff(ang, axis=1)
-    gaps[:, -1] = TAU - (ang[:, -1] - ang[:, 0])  # wrap-around gap
-    full = gaps.max(axis=1) < math.pi - eps
-    # remaining rows fit in a closed half-circle: zero is present only for an
-    # exact antipodal pair of distinct phases.  Gaps above eps split a row into
+    ang[~nz] = TAU
+    low = np.empty(rows)
+    for step in range(m):
+        for i in range(step % 2, m - 1, 2):
+            np.minimum(ang[i], ang[i + 1], out=low)
+            np.maximum(ang[i], ang[i + 1], out=ang[i + 1])
+            ang[i] = low
+    np.minimum(ang, np.take_along_axis(ang, np.maximum(cnt - 1, 0)[None, :], axis=0), out=ang)
+    gaps = np.empty((m, rows))
+    gaps[:-1] = np.diff(ang, axis=0)
+    gaps[-1] = TAU - (ang[-1] - ang[0])  # wrap-around gap
+    full = gaps.max(axis=0) < math.pi - eps
+    # remaining sets fit in a closed half-circle: zero is present only for an
+    # exact antipodal pair of distinct phases.  Gaps above eps split a set into
     # clusters; for two of them, compare the first angle with the first angle
     # separated from it by more than eps.
-    two = ~full & ((gaps > eps).sum(axis=1) == 2)
-    a = ang[two]
-    other = np.where(a - a[:, :1] > eps, a, np.inf).min(axis=1)
-    d = np.abs(other - a[:, 0])
+    two = ~full & ((gaps > eps).sum(axis=0) == 2)
+    a = ang[:, two]
+    other = np.where(a - a[:1] > eps, a, np.inf).min(axis=0)
+    d = np.abs(other - a[0])
     antip = np.zeros(rows, dtype=bool)
     antip[two] = np.abs(np.minimum(d, TAU - d) - math.pi) < eps
     return (cnt == 0) | full | antip
@@ -192,12 +200,12 @@ def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
 
 def zero_in_hypersum(phases: Iterable[Phase], tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether some strictly positive combination of the phases is zero: the
-    one-row case of ``zero_in_hypersum_batch``.  Zero phases contribute
+    one-column case of ``zero_in_hypersum_batch``.  Zero phases contribute
     nothing; the empty set has no combination and gives False."""
     units = [p.unit() for p in phases]
     if not units:
         return False
-    return bool(zero_in_hypersum_batch(np.array([units]), tol.eps)[0])
+    return bool(zero_in_hypersum_batch(np.array(units)[:, None], tol.eps)[0])
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,10 @@ from .phases import (
     zero_in_hypersum_batch,
 )
 
+#: (X, Y) pairs per kernel call of ``Phirotope.check_gp``.  The sweep holds one
+#: block of terms at a time, so its memory is bounded by (r+1) times this.
+GP_BLOCK_COLUMNS = 2**16
+
 
 def sort_with_sign(indices: Sequence[int]):
     """Sort a tuple and return (sorted tuple, sign of the sorting permutation).
@@ -186,7 +190,8 @@ class Phirotope:
 
         X ranges over sorted (r+1)-subsets and Y over sorted (r-1)-subsets of
         [n]; the result is lexicographically sorted and empty iff the map is a
-        valid phirotope.
+        valid phirotope.  X is swept in lex order, about ``GP_BLOCK_COLUMNS``
+        pairs per kernel call, so memory does not grow with the pair count.
         """
         n, r = self.n, self.r
         if n < r + 1:
@@ -201,13 +206,20 @@ class Phirotope:
                 if e not in y:
                     srt, sign = sort_with_sign((e,) + y)
                     ey[e, iy] = sign * units[srt]
-        # dx[X, k] = (-1)^(k+1) phi(X minus its k-th element), k = 0..r
-        dx = np.array([[(-1) ** (k + 1) * units[x[:k] + x[k + 1:]] for k in range(r + 1)]
-                       for x in xsubs])
-        # terms[X, Y, k] in C order, so that one row per (X, Y) is a view
-        terms = np.multiply(dx[:, None, :], ey[np.asarray(xsubs)].transpose(0, 2, 1), order="C")
-        ok = zero_in_hypersum_batch(terms.reshape(-1, r + 1), self.tolerance.eps)
-        return [(xsubs[i // len(ysubs)], ysubs[i % len(ysubs)]) for i in np.nonzero(~ok)[0]]
+        # dxT[k, X] = (-1)^(k+1) phi(X minus its k-th element), k = 0..r
+        dxT = np.array([[(-1) ** (k + 1) * units[x[:k] + x[k + 1:]] for x in xsubs]
+                        for k in range(r + 1)])
+        xarr = np.asarray(xsubs).T
+        # X in blocks of about GP_BLOCK_COLUMNS pairs; terms[k, X, Y] in C order,
+        # so that a block is an (r+1, pairs) kernel input without a copy
+        ny = len(ysubs)
+        step = max(1, GP_BLOCK_COLUMNS // ny)
+        bad = []
+        for s in range(0, len(xsubs), step):
+            terms = np.multiply(dxT[:, s:s + step, None], ey[xarr[:, s:s + step]], order="C")
+            ok = zero_in_hypersum_batch(terms.reshape(r + 1, -1), self.tolerance.eps)
+            bad.extend((s * ny + np.flatnonzero(~ok)).tolist())
+        return [(xsubs[i // ny], ysubs[i % ny]) for i in bad]
 
     def __eq__(self, other):
         if not isinstance(other, Phirotope):

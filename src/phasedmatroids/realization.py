@@ -33,6 +33,7 @@ from .errors import (
     InfeasibleTriangleError,
     NonSpanningForestError,
     NotCanonicalError,
+    PhasedMatroidError,
 )
 from .matrices import ComplexMatrix
 from .phases import VERIFY_TOLERANCE, Phase, TriangleEquation, triangle_solve
@@ -178,20 +179,9 @@ def verify(phi: Phirotope, m: ComplexMatrix) -> Optional[Witness]:
     return None
 
 
-def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
-    """Full realizability pipeline for a phirotope.
-
-    Validates the Grassmann-Pluecker relations, requires uniformity,
-    canonicalizes, refuses essentially oriented inputs (deciding those is the
-    oriented-matroid problem), reconstructs the canonical realization and
-    verifies it.  Verification is always the last gate before a Realizable
-    verdict.
-    """
-    violations = phi.check_gp()
-    if violations:
-        x, y = violations[0]
-        return Unsupported(NOT_A_PHIROTOPE,
-                           detail=f"{len(violations)} violations, first at X={x}, Y={y}")
+def _decide_from_reconstruction(phi: Phirotope) -> RealizabilityVerdict:
+    """The verdict of uniformity, canonicalization, reconstruction and
+    verification, without the Grassmann-Pluecker check."""
     if not is_uniform(phi):
         return Unsupported(NOT_UNIFORM)
     try:
@@ -210,6 +200,36 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
     if witness is not None:
         return NotRealizable(witness=witness, matrix=matrix)
     return Realizable(matrix, canon.rho, canon.global_phase)
+
+
+def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
+    """Full realizability pipeline for a phirotope.
+
+    Requires uniformity, canonicalizes, refuses essentially oriented inputs
+    (deciding those is the oriented-matroid problem), reconstructs the
+    canonical realization and verifies it.  Verification is always the last
+    gate before a Realizable verdict, and a verified matrix certifies the
+    Grassmann-Pluecker relations, because the minors of a matrix satisfy them;
+    so the GP sweep (``Phirotope.check_gp``, in blocks of bounded memory)
+    runs only when the pipeline ends in another verdict or raises a
+    ``PhasedMatroidError``.  A GP violation then gives
+    ``Unsupported(NOT_A_PHIROTOPE)``; otherwise the pipeline's verdict stands,
+    or its error is raised again.
+    """
+    try:
+        verdict = _decide_from_reconstruction(phi)
+    except PhasedMatroidError as exc:
+        verdict = exc
+    if isinstance(verdict, Realizable):
+        return verdict
+    violations = phi.check_gp()
+    if violations:
+        x, y = violations[0]
+        return Unsupported(NOT_A_PHIROTOPE,
+                           detail=f"{len(violations)} violations, first at X={x}, Y={y}")
+    if isinstance(verdict, PhasedMatroidError):
+        raise verdict
+    return verdict
 
 
 def rank2_norm(canonical: Phirotope, j: int) -> float:

@@ -29,3 +29,30 @@ def minor_det(m, rows, cols):
     arr = m.to_complex()
     block = arr[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
     return complex(np.linalg.det(block))
+
+
+def zero_in_hypersum_row_major(units, eps):
+    """The zero-membership kernel in its earlier row-major layout: ``units``
+    has shape (rows, m), one phase set per row, sorted with ``ndarray.sort``
+    and reduced along the short axis.  Kept as the bit-for-bit reference for
+    the column-major kernel ``phases.zero_in_hypersum_batch``."""
+    tau = 2.0 * np.pi
+    rows, m = units.shape
+    nz = np.abs(units) > 0.5
+    cnt = nz.sum(axis=1)
+    ang = np.angle(units)
+    ang += tau * (ang < 0)
+    ang = np.where(nz, ang, tau)
+    ang.sort(axis=1)
+    np.minimum(ang, np.take_along_axis(ang, np.maximum(cnt - 1, 0)[:, None], axis=1), out=ang)
+    gaps = np.empty((rows, m))
+    gaps[:, :-1] = np.diff(ang, axis=1)
+    gaps[:, -1] = tau - (ang[:, -1] - ang[:, 0])
+    full = gaps.max(axis=1) < np.pi - eps
+    two = ~full & ((gaps > eps).sum(axis=1) == 2)
+    a = ang[two]
+    other = np.where(a - a[:, :1] > eps, a, np.inf).min(axis=1)
+    d = np.abs(other - a[:, 0])
+    antip = np.zeros(rows, dtype=bool)
+    antip[two] = np.abs(np.minimum(d, tau - d) - np.pi) < eps
+    return (cnt == 0) | full | antip

@@ -6,8 +6,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from phasedmatroids import ComplexMatrix, Phase, Phirotope, from_matrix, jsonio
 from phasedmatroids.cli import run
 
 from conftest import FIXTURES, load_fixture
@@ -223,3 +225,28 @@ def test_huge_count_with_short_values_exits_2_quickly(tmp_path):
                           env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2
     assert set(json.loads(proc.stdout)) == {"error"}
+
+
+@pytest.mark.parametrize("r, n", [(2, 7), (3, 7), (4, 8), (5, 9)])
+def test_realize_reports_the_violations_validate_lists(tmp_path, capsys, r, n):
+    """On GP-invalid input realize runs the GP check after the pipeline; its
+    detail gives the count and the first pair of validate's list."""
+    rng = np.random.default_rng(60 + r)
+    for trial in range(3):
+        values = dict(from_matrix(ComplexMatrix.from_complex(
+            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))).values)
+        for i in rng.choice(len(values), size=trial + 1, replace=False):
+            basis = list(values)[i]
+            values[basis] = values[basis] * Phase.from_angle(rng.uniform(0.5 * np.pi, 1.5 * np.pi))
+        path = tmp_path / f"phi{trial}.json"
+        path.write_text(json.dumps(jsonio.phirotope_to_json(Phirotope(n, r, values, validate=False))))
+        code, validated = invoke(capsys, "validate", "--input", str(path))
+        violations = validated["result"]["violations"]
+        assert code == 1 and violations
+        code, realized = invoke(capsys, "realize", "--input", str(path))
+        first = violations[0]
+        assert code == 1
+        assert realized["result"] == {
+            "verdict": "Unsupported", "reason": "not_a_phirotope",
+            "detail": f"{len(violations)} violations, first at "
+                      f"X={tuple(first['X'])}, Y={tuple(first['Y'])}"}

@@ -9,7 +9,7 @@ import pytest
 from phasedmatroids import Phase, zero_in_hypersum
 from phasedmatroids.phases import zero_in_hypersum_batch
 
-from oracles import zero_in_hypersum_bruteforce
+from oracles import zero_in_hypersum_bruteforce, zero_in_hypersum_row_major
 
 
 def random_phase_sets(rng, count, max_size=6, zero_prob=0.15):
@@ -42,16 +42,16 @@ def test_batch_matches_scalar():
     for i, phases in enumerate(sets):
         for j, p in enumerate(phases):
             units[i, j] = p.unit()
-    batch = zero_in_hypersum_batch(units, 1e-9)
+    batch = zero_in_hypersum_batch(units.T, 1e-9)
     for i, phases in enumerate(sets):
         assert batch[i] == zero_in_hypersum_bruteforce(phases), phases
 
 
-def _boundary_batch(eps, rows=3000, m=6):
+def _boundary_batch(eps, rows=3000, m=6, seed=12):
     """One batch whose rows mix every nonzero count 0..m: phases at multiples
     of pi/4, jittered by 0, +-0.5 eps or +-1.5 eps, so that largest gaps and
     antipodal pairs sit on either side of the rule's eps boundary."""
-    rng = np.random.default_rng(12)
+    rng = np.random.default_rng(seed)
     counts = np.arange(rows) % (m + 1)
     jitter = rng.choice([0.0, 0.5, -0.5, 1.5, -1.5], size=(rows, m)) * eps
     units = np.exp(1j * (rng.integers(0, 8, size=(rows, m)) * (np.pi / 4) + jitter))
@@ -71,5 +71,16 @@ BOUNDARY_BITS = {
 
 @pytest.mark.parametrize("eps", sorted(BOUNDARY_BITS))
 def test_boundary_bits_are_pinned(eps):
-    bits = zero_in_hypersum_batch(_boundary_batch(eps), eps)
+    bits = zero_in_hypersum_batch(_boundary_batch(eps).T, eps)
     assert hashlib.sha256(np.packbits(bits).tobytes()).hexdigest() == BOUNDARY_BITS[eps]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3, 0.1])
+def test_column_major_kernel_matches_row_major_bits(m, eps):
+    """The sorting network and the reductions along the long axis give the
+    bits of the row-major kernel that sorted each row with ndarray.sort."""
+    units = _boundary_batch(eps, rows=2000, m=m, seed=100 + m)
+    expected = zero_in_hypersum_row_major(units, eps)
+    assert np.array_equal(zero_in_hypersum_batch(np.ascontiguousarray(units.T), eps), expected)
+    assert 0 < expected.sum() < len(expected)

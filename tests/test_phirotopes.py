@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from phasedmatroids import (
     underlying_matroid,
     verify,
 )
+from phasedmatroids import phirotopes
 from phasedmatroids.jsonio import matrix_from_json
 from phasedmatroids.phases import zero_in_hypersum_batch
 
@@ -220,7 +222,7 @@ def _gp_oracle(phi):
             rows.append(np.array(first) * np.array(second))
     if not rows:
         return []
-    ok = zero_in_hypersum_batch(np.array(rows), phi.tolerance.eps)
+    ok = zero_in_hypersum_batch(np.array(rows).T, phi.tolerance.eps)
     return [pair for pair, good in zip(pairs, ok) if not good]
 
 
@@ -253,6 +255,43 @@ def test_check_gp_matches_row_by_row_oracle():
         assert violations == _gp_oracle(phi), phi
         invalid += bool(violations)
     assert invalid >= 15
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, 1000])
+def test_check_gp_blocks_match_row_by_row_oracle(monkeypatch, block):
+    """Blocks of one X (every block size below the Y count gives one),
+    of several X, or of all of them give the same violations in the same
+    order."""
+    monkeypatch.setattr(phirotopes, "GP_BLOCK_COLUMNS", block)
+    invalid = 0
+    for phi in itertools.islice(_gp_oracle_cases(), 40, 64):
+        violations = phi.check_gp()
+        assert violations == _gp_oracle(phi), phi
+        invalid += bool(violations)
+    assert invalid >= 5
+
+
+def _gp_peak_bytes(r, n):
+    rng = np.random.default_rng(29)
+    phi = from_matrix(ComplexMatrix.from_complex(
+        rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))))
+    tracemalloc.start()
+    try:
+        assert phi.check_gp() == []
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_gp_memory_is_bounded_by_the_block():
+    """The sweep holds one block of terms at a time: its peak allocation is a
+    small multiple of one (r+1) x GP_BLOCK_COLUMNS complex block, and does not
+    grow with the number of (X, Y) pairs (457 380 at (5, 12), 3 006 003 at
+    (5, 14))."""
+    block_bytes = 6 * phirotopes.GP_BLOCK_COLUMNS * 16
+    small, large = _gp_peak_bytes(5, 12), _gp_peak_bytes(5, 14)
+    assert large < 4 * block_bytes
+    assert large < 1.1 * small
 
 
 def _scaling_cases():

@@ -1,6 +1,7 @@
 """Reconstruction, verification, realizability decisions and the tree scaling."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from phasedmatroids import (
     ComplexMatrix,
+    DegenerateTriangleError,
     EssentiallyOrientedError,
     InfeasibleTriangleError,
     NonSpanningForestError,
@@ -28,10 +30,15 @@ from phasedmatroids import (
     rephase,
     scale_global,
     to_standard_form,
+    is_uniform,
     underlying_matroid,
     verify,
 )
-from phasedmatroids.realization import ESSENTIALLY_ORIENTED, NOT_UNIFORM
+from phasedmatroids import jsonio, realization
+from phasedmatroids.cli import run
+from phasedmatroids.realization import ESSENTIALLY_ORIENTED, NOT_A_PHIROTOPE, NOT_UNIFORM
+
+from conftest import FIXTURES
 
 
 def canonical_of(matrix):
@@ -259,3 +266,138 @@ def test_realize_verdicts_do_not_change_under_rephasing():
             assert after.matrix.max_distance(before.matrix) < 1e-9
         classes.add(_verdict_summary(before)[0])
     assert classes >= {"Realizable", "NotRealizable"}
+
+
+def _near_real_phirotope(rng, noise_exponents=(-10, -8)):
+    """The phirotope of a real Gaussian r x n matrix (r 2-3, n r+2..7) plus
+    i times noise, with the noise level drawn log-uniformly."""
+    r = int(rng.integers(2, 4))
+    n = int(rng.integers(r + 2, 8))
+    noise = 10 ** rng.uniform(*noise_exponents)
+    arr = rng.normal(size=(r, n)) + 1j * noise * rng.normal(size=(r, n))
+    return from_matrix(ComplexMatrix.from_complex(arr))
+
+
+def _degenerate_gp_invalid_phirotope():
+    """The first seeded near-real phirotope whose reconstruction raises
+    DegenerateTriangleError: a real entry and a non-real one lie within the
+    angular tolerance of each other.  Its GP check fails, so the parent
+    order never reconstructed it."""
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        phi = _near_real_phirotope(rng)
+        try:
+            reconstruct(canonicalize(phi).canonical)
+        except (InfeasibleTriangleError, EssentiallyOrientedError):
+            continue
+        except DegenerateTriangleError:
+            return phi
+    raise AssertionError("no near-real phirotope raised DegenerateTriangleError")
+
+
+def test_pipeline_error_falls_back_to_the_gp_check(tmp_path, capsys):
+    phi = _degenerate_gp_invalid_phirotope()
+    violations = phi.check_gp()
+    assert violations
+    verdict = decide_realizability(phi)
+    assert isinstance(verdict, Unsupported) and verdict.reason == NOT_A_PHIROTOPE
+    x, y = violations[0]
+    assert verdict.detail == f"{len(violations)} violations, first at X={x}, Y={y}"
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(jsonio.phirotope_to_json(phi)))
+    assert run(["realize", "--input", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == {"verdict": "Unsupported", "reason": NOT_A_PHIROTOPE,
+                                "detail": verdict.detail}
+
+
+def _raise_degenerate(canonical):
+    raise DegenerateTriangleError("alpha = +/-beta")
+
+
+def test_pipeline_error_is_raised_only_when_gp_holds(monkeypatch, nonreal2ex_phi):
+    monkeypatch.setattr(realization, "reconstruct", _raise_degenerate)
+    with pytest.raises(DegenerateTriangleError):
+        decide_realizability(nonreal2ex_phi)
+    values = dict(nonreal2ex_phi.values)
+    values[(3, 4)] = values[(3, 4)] * Phase(2.0)
+    verdict = decide_realizability(Phirotope(5, 2, values, validate=False))
+    assert isinstance(verdict, Unsupported) and verdict.reason == NOT_A_PHIROTOPE
+
+
+def test_check_gp_runs_only_off_the_realizable_path(monkeypatch, runex_phi, nonreal2ex_phi):
+    calls = []
+    check_gp = Phirotope.check_gp
+
+    def counted(phi):
+        calls.append(phi)
+        return check_gp(phi)
+
+    monkeypatch.setattr(Phirotope, "check_gp", counted)
+    rng = np.random.default_rng(49)
+    realizable = from_matrix(ComplexMatrix.from_complex(
+        rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))))
+    oriented = from_matrix(ComplexMatrix.from_complex(rng.normal(size=(2, 5)).astype(complex)))
+    invalid_values = dict(realizable.values)
+    invalid_values[(1, 2, 3)] = invalid_values[(1, 2, 3)] * Phase(2.0)
+    cases = [(realizable, Realizable, 0), (nonreal2ex_phi, NotRealizable, 1),
+             (runex_phi, NOT_UNIFORM, 1), (oriented, ESSENTIALLY_ORIENTED, 1),
+             (Phirotope(7, 3, invalid_values, validate=False), NOT_A_PHIROTOPE, 1),
+             (_degenerate_gp_invalid_phirotope(), NOT_A_PHIROTOPE, 1)]
+    for phi, expected, gp_calls in cases:
+        calls.clear()
+        verdict = decide_realizability(phi)
+        if isinstance(expected, str):
+            assert isinstance(verdict, Unsupported) and verdict.reason == expected
+        else:
+            assert isinstance(verdict, expected)
+        assert calls == [phi] * gp_calls
+    monkeypatch.setattr(realization, "reconstruct", _raise_degenerate)
+    calls.clear()
+    with pytest.raises(DegenerateTriangleError):
+        decide_realizability(nonreal2ex_phi)
+    assert calls == [nonreal2ex_phi]
+
+
+def _gp_first(phi):
+    """The verdict when the GP check runs before the pipeline."""
+    violations = phi.check_gp()
+    if violations:
+        return Unsupported(NOT_A_PHIROTOPE)
+    return decide_realizability(phi)
+
+
+def _verdict_changing_cases():
+    """Near-real matrices (noise 1e-10 to 1e-6) and complex Gaussian
+    matrices with one value rotated by 1e-8 to 2 rad, r 2-3, n r+2..7."""
+    rng = np.random.default_rng(50)
+    for t in range(240):
+        if t % 2 == 0:
+            phi = _near_real_phirotope(rng, (-10, -6))
+            if not is_uniform(phi):
+                continue
+            yield "near-real", phi
+        else:
+            r = int(rng.integers(2, 4))
+            n = int(rng.integers(r + 2, 8))
+            values = dict(from_matrix(ComplexMatrix.from_complex(
+                rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))).values)
+            basis = list(values)[int(rng.integers(len(values)))]
+            values[basis] = values[basis] * Phase.from_angle(10 ** rng.uniform(-8, math.log10(2)))
+            yield "rotated", Phirotope(n, r, values, validate=False)
+
+
+def test_verdicts_change_only_from_not_a_phirotope_to_verified_realizable():
+    """A verified matrix proves GP, so putting the GP check after the
+    pipeline changes a verdict only where the GP check rejects a phirotope
+    that some matrix realizes within VERIFY_TOLERANCE."""
+    changed = {"near-real": 0, "rotated": 0}
+    for family, phi in _verdict_changing_cases():
+        before, after = _gp_first(phi), decide_realizability(phi)
+        if _verdict_summary(before) == _verdict_summary(after):
+            continue
+        assert _verdict_summary(before) == ("Unsupported", NOT_A_PHIROTOPE)
+        assert isinstance(after, Realizable)
+        assert verify(canonicalize(phi).canonical, after.matrix) is None
+        changed[family] += 1
+    assert changed["near-real"] >= 5
