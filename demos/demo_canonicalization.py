@@ -20,7 +20,7 @@ from phasedmatroids import (
     canonicalize,
     from_matrix,
     is_essentially_oriented,
-    underlying_matroid,
+    is_uniform,
 )
 
 m = ComplexMatrix.from_complex(np.array([
@@ -30,10 +30,9 @@ m = ComplexMatrix.from_complex(np.array([
 ], dtype=complex))
 
 phi = from_matrix(m)
-matroid = underlying_matroid(phi)
-print("uniform:", matroid.is_uniform, " (the {1,2,4} minor vanishes)")
+print("uniform:", is_uniform(phi), " (the {1,2,4} minor vanishes)")
 
-graph = associated_bipartite_graph(matroid)
+graph = associated_bipartite_graph(phi)
 forest = canonical_spanning_forest(graph)
 print("bipartite graph edges:", sorted(graph.edges))
 print("canonical spanning tree:", forest.edges)

@@ -17,7 +17,6 @@ from phasedmatroids import (
     decide_realizability,
     from_matrix,
     normalize_to_tree,
-    underlying_matroid,
 )
 
 rng = np.random.default_rng(2024)
@@ -30,8 +29,7 @@ canonical_matrix = verdict.matrix
 print("canonical realization (norms):")
 print(np.round(np.abs(canonical_matrix.to_complex()), 4))
 
-forest = canonical_spanning_forest(
-    associated_bipartite_graph(underlying_matroid(phi)))
+forest = canonical_spanning_forest(associated_bipartite_graph(phi))
 print("\nspanning tree edges (one positive weight each):", forest.edges)
 
 for trial in range(3):

@@ -27,7 +27,6 @@ from .errors import (
     InfeasibleTriangleError,
     InvalidPhirotopeError,
     NonSpanningForestError,
-    NotAMatroidError,
     NotCanonicalError,
     PhasedMatroidError,
     RankDeficientError,
@@ -58,13 +57,11 @@ from .phases import (
 from .phirotopes import (
     Phirotope,
     Rephasing,
-    UnderlyingMatroid,
     from_matrix,
     is_uniform,
     rephase,
     scale_global,
     sort_with_sign,
-    underlying_matroid,
 )
 from .realization import (
     NotRealizable,

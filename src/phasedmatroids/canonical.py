@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedMinorSizeError,
 )
 from .phases import VERIFY_TOLERANCE, Phase, circular_distance
-from .phirotopes import Phirotope, Rephasing, UnderlyingMatroid, rephase, scale_global, underlying_matroid
+from .phirotopes import Phirotope, Rephasing, rephase, scale_global
 
 
 def shuffle_sign(subset, rank: int) -> int:
@@ -43,7 +43,9 @@ def entry_phase(phi: Phirotope, i: int, j: int) -> Phase:
 
 
 def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
-    """Forced phase of the k x k minor on the given rows and columns (> rank).
+    """Forced phase of the k x k minor on the given rows and columns (> rank):
+    the shuffle sign of the rows times the value on the rows' complement in
+    {1..r} followed by the columns, a tuple that is already sorted.
 
     Only k in {1, 2} is supported.
     """
@@ -52,11 +54,13 @@ def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
     if len(h) != len(j) or len(h) not in (1, 2):
         raise UnsupportedMinorSizeError("only 1x1 and 2x2 minors are supported")
     r = phi.r
+    if len(set(h)) < len(h) or len(set(j)) < len(j):
+        raise ValueError("minor rows and columns must be distinct")
     if any(not (r < c <= phi.n) for c in j):
         raise ValueError("minor columns must lie beyond the identity block")
-    complement = tuple(k for k in range(1, r + 1) if k not in set(h))
-    value = phi.evaluate(complement + j)
-    return value.times_sign(shuffle_sign(h, r))
+    sign = shuffle_sign(h, r)  # raises ValueError on rows outside [1, r]
+    complement = tuple(k for k in range(1, r + 1) if k not in h)
+    return phi.values[complement + j].times_sign(sign)
 
 
 @dataclass(frozen=True)
@@ -75,16 +79,26 @@ class AssociatedBipartiteGraph:
         return sorted(j for (a, j) in self.edges if a == i)
 
 
-def associated_bipartite_graph(m: UnderlyingMatroid) -> AssociatedBipartiteGraph:
-    r, n = m.rank, m.ground_size
-    if not m.is_basis(range(1, r + 1)):
+def associated_bipartite_graph(phi: Phirotope) -> AssociatedBipartiteGraph:
+    """The bipartite graph of phi's underlying matroid, read from r(n-r)+1
+    values: the bases of that matroid are the supports of the nonzero values.
+
+    phi must satisfy the Grassmann-Pluecker relations, as validated and
+    matrix-born phirotopes do; the supports then satisfy the basis-exchange
+    axiom, which is not checked.  Proof: take bases B1, B2 and x in B1 - B2.
+    The relation at X = B2 + {x}, Y = B1 - {x} has the nonzero term
+    phi(B2) phi(x, Y) for x; the terms for elements of Y vanish.  A lone
+    nonzero term never has 0 in its hypersum (``zero_in_hypersum_batch`` is
+    False on every row with exactly one nonzero entry, at any eps), so some y
+    in B2 - B1 gives a nonzero term too, and phi(y, Y) != 0 says
+    B1 - {x} + {y} is a basis.
+    """
+    r, n = phi.r, phi.n
+    first = tuple(range(1, r + 1))
+    if phi.values[first].is_zero:
         raise FirstSubsetNotBasisError("{1..r} must be a basis")
-    edges = set()
-    for i in range(1, r + 1):
-        rest = tuple(k for k in range(1, r + 1) if k != i)
-        for j in range(r + 1, n + 1):
-            if m.is_basis(rest + (j,)):
-                edges.add((i, j))
+    edges = {(i, j) for i in first for j in range(r + 1, n + 1)
+             if not phi.values[first[:i - 1] + first[i:] + (j,)].is_zero}
     return AssociatedBipartiteGraph(r, n, frozenset(edges))
 
 
@@ -173,21 +187,22 @@ class CanonicalizationResult:
     canonical: Phirotope
 
 
-def canonical_targets(phi: Phirotope):
-    """Bases whose canonical values are pinned, with their target phases.
-
-    Covers {1..r} (target 1), the row-r bases {1..r-1, j} for j > r (target 1)
-    and the column-(r+1) bases {1..r}-{i}+{r+1} for i < r (target (-1)**(r-i)).
-    """
-    n, r = phi.n, phi.r
+def _tree_targets(r: int, forest: SpanningForest) -> dict:
     first = tuple(range(1, r + 1))
     targets = {first: Phase(0.0)}
-    for j in range(r + 1, n + 1):
-        targets[tuple(range(1, r)) + (j,)] = Phase(0.0)
-    for i in range(1, r):
-        basis = tuple(k for k in first if k != i) + (r + 1,)
-        targets[tuple(sorted(basis))] = Phase(0.0 if (r - i) % 2 == 0 else math.pi)
+    for i, j in forest.edges:
+        targets[first[:i - 1] + first[i:] + (j,)] = Phase(0.0 if (r - i) % 2 == 0 else math.pi)
     return targets
+
+
+def canonical_targets(phi: Phirotope) -> dict:
+    """Bases whose canonical values are pinned, with their target phases.
+
+    Covers {1..r} (target 1) and the basis {1..r}-{i}+{j} of every edge
+    (i, j) of the canonical spanning forest (target (-1)**(r-i), which makes
+    the entry (i, j) of a standard-form realization phase 1).
+    """
+    return _tree_targets(phi.r, canonical_spanning_forest(associated_bipartite_graph(phi)))
 
 
 def canonicalize(phi: Phirotope) -> CanonicalizationResult:
@@ -201,9 +216,7 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     (direct sums are rejected).
     """
     r, n = phi.r, phi.n
-    matroid = underlying_matroid(phi)
-    graph = associated_bipartite_graph(matroid)
-    forest = canonical_spanning_forest(graph)
+    forest = canonical_spanning_forest(associated_bipartite_graph(phi))
     if forest.component_count != 1:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")
@@ -218,10 +231,8 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
 
     # pinned values are assigned exactly, not left to float accumulation
     values = dict(canonical.values)
-    for basis, target in canonical_targets(phi).items():
+    for basis, target in _tree_targets(r, forest).items():
         got = values[basis]
-        if got.is_zero:
-            continue
         if circular_distance(got.angle, target.angle) > VERIFY_TOLERANCE.eps:
             raise PhasedMatroidError(
                 f"canonicalization failed to pin basis {basis}: got {got}, want {target}")
@@ -231,13 +242,11 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
 
 
 def is_canonical(phi: Phirotope) -> bool:
-    """True iff every pinned basis with nonzero value matches its target
-    within ``phi.tolerance``."""
-    for basis, target in canonical_targets(phi).items():
-        got = phi.values[basis]
-        if not got.is_zero and not got.isclose(target, phi.tolerance):
-            return False
-    return not phi.value(range(1, phi.r + 1)).is_zero
+    """True iff {1..r} is a basis and every pinned basis of
+    ``canonical_targets`` matches its target within ``phi.tolerance``."""
+    if phi.values[tuple(range(1, phi.r + 1))].is_zero:
+        return False
+    return all(phi.values[b].isclose(t, phi.tolerance) for b, t in canonical_targets(phi).items())
 
 
 def is_real_valued(phi: Phirotope) -> bool:

@@ -27,7 +27,7 @@ from .errors import (
     PhasedMatroidError,
 )
 from .phases import DEFAULT_TOLERANCE, Tolerance
-from .phirotopes import from_matrix, underlying_matroid
+from .phirotopes import from_matrix
 from .realization import NOT_A_PHIROTOPE, NotRealizable, Unsupported, decide_realizability, verify
 
 EXIT_OK = 0
@@ -101,8 +101,7 @@ def _cmd_verify(doc, tol):
 
 def _cmd_tree(doc, tol):
     phi = jsonio.phirotope_from_json(doc, tol)
-    graph = associated_bipartite_graph(underlying_matroid(phi))
-    forest = canonical_spanning_forest(graph)
+    forest = canonical_spanning_forest(associated_bipartite_graph(phi))
     return {"forest": jsonio.forest_to_json(forest),
             "components": forest.component_count}, EXIT_OK
 

@@ -68,7 +68,3 @@ class InvalidPhirotopeError(PhasedMatroidError):
         preview = ", ".join(f"X={x} Y={y}" for x, y in violations[:3])
         more = "" if len(violations) <= 3 else f" (+{len(violations) - 3} more)"
         super().__init__(f"Grassmann-Pluecker violations: {preview}{more}")
-
-
-class NotAMatroidError(PhasedMatroidError):
-    """A set system violates the basis-exchange axiom."""

@@ -118,8 +118,8 @@ def phirotope_to_json(phi: Phirotope) -> dict:
     return {
         "n": phi.n,
         "r": phi.r,
-        "values": [{"basis": list(b), "phase": phase_to_json(phi.values[b])}
-                   for b in phi.sorted_bases()],
+        "values": [{"basis": list(b), "phase": phase_to_json(p)}
+                   for b, p in phi.values.items()],
     }
 
 

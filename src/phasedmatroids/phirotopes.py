@@ -16,14 +16,13 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     IndexOutOfRangeError,
     InvalidPhirotopeError,
-    NotAMatroidError,
     RankDeficientError,
 )
 from .matrices import ComplexMatrix, all_maximal_minors
@@ -62,49 +61,6 @@ def sort_with_sign(indices: Sequence[int]):
         if a == b:
             return tuple(items), 0
     return tuple(items), (-1) ** (inversions % 2)
-
-
-@dataclass(frozen=True)
-class UnderlyingMatroid:
-    """A matroid given by its set of bases (r-subsets of [n])."""
-
-    ground_size: int
-    rank: int
-    bases: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "bases", frozenset(tuple(sorted(b)) for b in self.bases))
-        if not self.bases:
-            raise NotAMatroidError("a matroid needs at least one basis")
-
-    @classmethod
-    def from_bases(cls, ground_size: int, rank: int, bases: Iterable):
-        """The matroid on an arbitrary set system, after checking basis exchange."""
-        m = cls(ground_size, rank, frozenset(tuple(sorted(b)) for b in bases))
-        m.check_exchange()
-        return m
-
-    @property
-    def is_uniform(self) -> bool:
-        return len(self.bases) == math.comb(self.ground_size, self.rank)
-
-    def is_basis(self, subset) -> bool:
-        return tuple(sorted(subset)) in self.bases
-
-    def check_exchange(self):
-        """Verify the basis-exchange axiom (desk-scale sizes only).
-
-        Uniform matroids satisfy it trivially and are short-circuited.
-        """
-        if self.is_uniform:
-            return
-        bases = [set(b) for b in self.bases]
-        for b1 in bases:
-            for b2 in bases:
-                for x in b1 - b2:
-                    if not any(self.is_basis((b1 - {x}) | {y}) for y in b2 - b1):
-                        raise NotAMatroidError(
-                            f"exchange fails for {sorted(b1)}, {sorted(b2)}, element {x}")
 
 
 @dataclass(frozen=True)
@@ -165,10 +121,6 @@ class Phirotope:
             if violations:
                 raise InvalidPhirotopeError(violations)
 
-    def sorted_bases(self):
-        """All sorted r-subsets of [n] in lexicographic order."""
-        return list(self.values)
-
     def value(self, basis) -> Phase:
         return self.values[tuple(sorted(basis))]
 
@@ -226,11 +178,10 @@ class Phirotope:
             return NotImplemented
         return self.n == other.n and self.r == other.r and self.values == other.values
 
-    def isclose(self, other: "Phirotope", tol: Optional[Tolerance] = None) -> bool:
+    def isclose(self, other: "Phirotope") -> bool:
         if self.n != other.n or self.r != other.r:
             return False
-        tol = tol or self.tolerance
-        return self.max_angular_distance(other) < tol.eps
+        return self.max_angular_distance(other) < self.tolerance.eps
 
     def max_angular_distance(self, other: "Phirotope") -> float:
         """Largest circular distance between corresponding nonzero values;
@@ -302,22 +253,6 @@ def scale_global(phi: Phirotope, alpha: Phase) -> Phirotope:
         raise ValueError("global phase must be nonzero")
     values = {b: alpha * p for b, p in phi.values.items()}
     return Phirotope(phi.n, phi.r, values, phi.tolerance, validate=False)
-
-
-def underlying_matroid(phi: Phirotope) -> UnderlyingMatroid:
-    """The matroid whose bases are the supports of the nonzero values.
-
-    phi must satisfy the Grassmann-Pluecker relations, as validated and
-    matrix-born phirotopes do; the basis-exchange axiom then holds and is not
-    checked again.  Proof: take bases B1, B2 and x in B1 - B2.  The relation at
-    X = B2 + {x}, Y = B1 - {x} has the nonzero term phi(B2) phi(x, Y) for x;
-    the terms for elements of Y vanish.  A lone nonzero term never has 0 in its
-    hypersum (``zero_in_hypersum_batch`` is False on every row with exactly one
-    nonzero entry, at any eps), so some y in B2 - B1 gives a nonzero term too,
-    and phi(y, Y) != 0 says B1 - {x} + {y} is a basis.
-    """
-    bases = frozenset(b for b, p in phi.values.items() if not p.is_zero)
-    return UnderlyingMatroid(phi.n, phi.r, bases)
 
 
 def is_uniform(phi: Phirotope) -> bool:

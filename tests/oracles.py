@@ -56,3 +56,17 @@ def zero_in_hypersum_row_major(units, eps):
     antip = np.zeros(rows, dtype=bool)
     antip[two] = np.abs(np.minimum(d, tau - d) - np.pi) < eps
     return (cnt == 0) | full | antip
+
+
+def basis_exchange_failure(bases):
+    """A triple (B1, B2, x), x in B1 - B2, such that B1 - {x} + {y} is a basis
+    for no y in B2 - B1; None when the set system satisfies the
+    basis-exchange axiom.  Brute force over all pairs of bases."""
+    family = [frozenset(b) for b in sorted({tuple(sorted(b)) for b in bases})]
+    members = set(family)
+    for b1 in family:
+        for b2 in family:
+            for x in b1 - b2:
+                if not any((b1 - {x}) | {y} in members for y in b2 - b1):
+                    return sorted(b1), sorted(b2), x
+    return None

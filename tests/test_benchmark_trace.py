@@ -15,6 +15,9 @@ STALE = {
     ("phasedmatroids.realization", "all_maximal_minors"):
         "verify reaches the minors through minor_phases; the tracer is to read "
         "a stage recorder instead of patching (ROADMAP item 4)",
+    ("phasedmatroids.phirotopes:UnderlyingMatroid", "check_exchange"):
+        "the basis-exchange check has been off every CLI path since GP became the "
+        "only validity gate, and the class is gone; the tracer skips a missing class",
 }
 
 

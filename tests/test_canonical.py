@@ -13,7 +13,6 @@ from phasedmatroids import (
     Phirotope,
     Rephasing,
     Tolerance,
-    UnderlyingMatroid,
     associated_bipartite_graph,
     canonical_spanning_forest,
     canonicalize,
@@ -21,6 +20,7 @@ from phasedmatroids import (
     from_matrix,
     is_canonical,
     is_essentially_oriented,
+    is_uniform,
     minor_phase,
     phase_of,
     rephase,
@@ -28,7 +28,6 @@ from phasedmatroids import (
     scale_global,
     shuffle_sign,
     to_standard_form,
-    underlying_matroid,
 )
 from phasedmatroids.canonical import canonical_targets
 
@@ -38,6 +37,30 @@ from oracles import minor_det
 def random_standard(rng, r, n):
     arr = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
     return to_standard_form(ComplexMatrix.from_complex(arr))
+
+
+def matrix_phi(rows):
+    return from_matrix(ComplexMatrix.from_complex(np.array(rows, dtype=complex)))
+
+
+def uniform_phi(seed, r, n):
+    phi = from_matrix(random_standard(np.random.default_rng(seed), r, n))
+    assert is_uniform(phi)
+    return phi
+
+
+def nonuniform_standard_phis(seed, count):
+    """Seeded matrix-born phirotopes of (I | N) with about 40% of N zero,
+    r = 1..4, n = r+1..8, rephased by random phases."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = int(rng.integers(1, 5))
+        n = int(rng.integers(r + 1, 9))
+        nmat = rng.normal(size=(r, n - r)) + 1j * rng.normal(size=(r, n - r))
+        nmat[rng.random(nmat.shape) < 0.4] = 0
+        phi = from_matrix(ComplexMatrix.from_complex(np.hstack([np.eye(r), nmat])))
+        yield rephase(phi, Rephasing(tuple(Phase.from_angle(a)
+                                           for a in rng.uniform(0, 2 * np.pi, n))))
 
 
 def test_shuffle_sign_examples():
@@ -90,44 +113,41 @@ def test_minor_phase_matches_determinants():
 
 
 def test_associated_graph_uniform_complete():
-    matroid = UnderlyingMatroid.from_bases(4, 2, [(1, 2), (1, 3), (1, 4),
-                                                  (2, 3), (2, 4), (3, 4)])
-    g = associated_bipartite_graph(matroid)
+    phi = matrix_phi([[1, 0, 1, 1], [0, 1, 1, 2]])
+    assert is_uniform(phi)
+    g = associated_bipartite_graph(phi)
     assert g.edges == frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
 
 
 def test_associated_graph_runex(runex_phi):
-    g = associated_bipartite_graph(underlying_matroid(runex_phi))
+    g = associated_bipartite_graph(runex_phi)
     assert g.edges == frozenset({(1, 4), (2, 4), (1, 5), (2, 5), (3, 5)})
 
 
 def test_associated_graph_isolated_row():
     # column 3 parallel to column 2: row 1 cannot be exchanged out
-    m = UnderlyingMatroid.from_bases(3, 2, [(1, 2), (1, 3)])
-    g = associated_bipartite_graph(m)
+    phi = matrix_phi([[1, 0, 0], [0, 1, 1]])
+    assert [b for b, p in phi.values.items() if not p.is_zero] == [(1, 2), (1, 3)]
+    g = associated_bipartite_graph(phi)
     assert g.neighbors_of_row(1) == []
     assert g.edges == frozenset({(2, 3)})
 
 
 def test_canonical_forest_uniform_star():
-    matroid = UnderlyingMatroid.from_bases(
-        6, 3, list(itertools.combinations(range(1, 7), 3)))
-    forest = canonical_spanning_forest(associated_bipartite_graph(matroid))
+    forest = canonical_spanning_forest(associated_bipartite_graph(uniform_phi(38, 3, 6)))
     assert forest.component_count == 1
     assert set(forest.edges) == {(1, 4), (2, 4), (3, 4), (3, 5), (3, 6)}
 
 
 def test_canonical_forest_runex(runex_phi):
-    g = associated_bipartite_graph(underlying_matroid(runex_phi))
+    g = associated_bipartite_graph(runex_phi)
     forest = canonical_spanning_forest(g)
     assert set(forest.edges) == {(1, 4), (2, 4), (2, 5), (3, 5)}
     assert forest.component_count == 1
 
 
 def test_canonical_forest_rank2():
-    matroid = UnderlyingMatroid.from_bases(
-        5, 2, list(itertools.combinations(range(1, 6), 2)))
-    forest = canonical_spanning_forest(associated_bipartite_graph(matroid))
+    forest = canonical_spanning_forest(associated_bipartite_graph(uniform_phi(39, 2, 5)))
     assert set(forest.edges) == {(1, 3), (2, 3), (2, 4), (2, 5)}
 
 
@@ -137,8 +157,7 @@ def test_forest_edge_count_property():
         r = int(rng.integers(2, 5))
         n = int(rng.integers(r + 1, 10))
         m = random_standard(rng, r, n)
-        forest = canonical_spanning_forest(
-            associated_bipartite_graph(underlying_matroid(from_matrix(m))))
+        forest = canonical_spanning_forest(associated_bipartite_graph(from_matrix(m)))
         assert len(forest.edges) == n - forest.component_count
 
 
@@ -165,6 +184,50 @@ def test_canonicalize_invariants_random():
             got = result.canonical.values[basis]
             assert got.angle == target.angle
         assert is_canonical(result.canonical)
+
+
+def test_is_canonical_reads_every_forest_edge(runex_phi):
+    """runex's canonical form, rephased on elements 3 and 5 and scaled back,
+    keeps {1..r}, the row-r bases and the column-(r+1) bases at their targets
+    and passes GP, but the entry of forest edge (2, 5) (see
+    test_canonical_forest_runex) moves to phase 0.7 rad."""
+    canonical = canonicalize(runex_phi).canonical
+    turn = Phase.from_angle(0.7)
+    rho = Rephasing((Phase(0.0), Phase(0.0), turn, Phase(0.0), turn))
+    moved = scale_global(rephase(canonical, rho), turn.inverse())
+    assert moved.check_gp() == []
+    for basis in [(1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 3, 4)]:  # (1, 2, 4) is zero
+        assert moved.values[basis].isclose(canonical.values[basis])
+    assert entry_phase(moved, 2, 5).isclose(Phase.from_angle(0.7))
+    assert is_canonical(canonical)
+    assert not is_canonical(moved)
+
+
+def test_canonical_forest_edges_are_exactly_phase_one():
+    """On non-uniform matrix-born phirotopes, canonicalize puts exact phase 1
+    on the entry of every forest edge, and its output is canonical."""
+    checked = 0
+    for phi in nonuniform_standard_phis(40, 120):
+        try:
+            result = canonicalize(phi)
+        except DisconnectedGraphError:
+            continue
+        canonical = result.canonical
+        forest = canonical_spanning_forest(associated_bipartite_graph(canonical))
+        assert canonical.values[tuple(range(1, phi.r + 1))].angle == 0.0
+        for i, j in forest.edges:
+            assert entry_phase(canonical, i, j).angle == 0.0
+        assert is_canonical(canonical)
+        checked += not is_uniform(phi)
+    assert checked >= 30
+
+
+def test_minor_phase_rejects_bad_rows_and_columns(runex_phi):
+    r = runex_phi.r
+    for rows, cols in [((r + 1,), (5,)), ((0,), (5,)), ((1, r + 1), (4, 5)),
+                       ((1, 1), (4, 5)), ((1, 2), (5, 5)), ((1,), (r,))]:
+        with pytest.raises(ValueError):
+            minor_phase(runex_phi, rows, cols)
 
 
 def test_canonicalize_rejects_direct_sum():
