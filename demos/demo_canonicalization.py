@@ -32,10 +32,8 @@ m = ComplexMatrix.from_complex(np.array([
 phi = from_matrix(m)
 print("uniform:", is_uniform(phi), " (the {1,2,4} minor vanishes)")
 
-graph = associated_bipartite_graph(phi)
-forest = canonical_spanning_forest(graph)
-print("bipartite graph edges:", sorted(graph.edges))
-print("canonical spanning tree:", forest.edges)
+print("bipartite graph edges:", sorted(associated_bipartite_graph(phi)))
+print("canonical spanning tree:", canonical_spanning_forest(phi).edges)
 
 result = canonicalize(phi)
 print("\nrephasing (angles over pi):",

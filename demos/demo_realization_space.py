@@ -12,7 +12,6 @@ import numpy as np
 from phasedmatroids import (
     ComplexMatrix,
     Realizable,
-    associated_bipartite_graph,
     canonical_spanning_forest,
     decide_realizability,
     from_matrix,
@@ -29,7 +28,7 @@ canonical_matrix = verdict.matrix
 print("canonical realization (norms):")
 print(np.round(np.abs(canonical_matrix.to_complex()), 4))
 
-forest = canonical_spanning_forest(associated_bipartite_graph(phi))
+forest = canonical_spanning_forest(phi)
 print("\nspanning tree edges (one positive weight each):", forest.edges)
 
 for trial in range(3):

@@ -6,7 +6,6 @@ if so produces its unique canonical realization.
 """
 
 from .canonical import (
-    AssociatedBipartiteGraph,
     CanonicalizationResult,
     SpanningForest,
     associated_bipartite_graph,

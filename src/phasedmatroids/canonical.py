@@ -63,25 +63,10 @@ def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
     return phi.values[complement + j].times_sign(sign)
 
 
-@dataclass(frozen=True)
-class AssociatedBipartiteGraph:
-    """Bipartite graph on [n]: rows 1..r on the left, columns r+1..n on the
-    right, with an edge (i, j) iff swapping i out of {1..r} for j gives a basis."""
-
-    rank: int
-    ground_size: int
-    edges: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-
-    def neighbors_of_row(self, i: int):
-        return sorted(j for (a, j) in self.edges if a == i)
-
-
-def associated_bipartite_graph(phi: Phirotope) -> AssociatedBipartiteGraph:
-    """The bipartite graph of phi's underlying matroid, read from r(n-r)+1
-    values: the bases of that matroid are the supports of the nonzero values.
+def associated_bipartite_graph(phi: Phirotope) -> frozenset:
+    """The edges (i, j), i <= r < j, of the bipartite graph of phi's underlying
+    matroid: (i, j) is an edge iff {1..r} - {i} + {j} is a basis.  Read from
+    r(n-r)+1 values, since the bases are the supports of the nonzero values.
 
     phi must satisfy the Grassmann-Pluecker relations, as validated and
     matrix-born phirotopes do; the supports then satisfy the basis-exchange
@@ -97,9 +82,8 @@ def associated_bipartite_graph(phi: Phirotope) -> AssociatedBipartiteGraph:
     first = tuple(range(1, r + 1))
     if phi.values[first].is_zero:
         raise FirstSubsetNotBasisError("{1..r} must be a basis")
-    edges = {(i, j) for i in first for j in range(r + 1, n + 1)
-             if not phi.values[first[:i - 1] + first[i:] + (j,)].is_zero}
-    return AssociatedBipartiteGraph(r, n, frozenset(edges))
+    return frozenset((i, j) for i in first for j in range(r + 1, n + 1)
+                     if not phi.values[first[:i - 1] + first[i:] + (j,)].is_zero)
 
 
 @dataclass(frozen=True)
@@ -151,14 +135,15 @@ def tree_potentials(n: int, edges, deltas, root: int) -> dict:
     return potential
 
 
-def canonical_spanning_forest(g: AssociatedBipartiteGraph) -> SpanningForest:
-    """Deterministic greedy spanning forest.
+def canonical_spanning_forest(phi: Phirotope) -> SpanningForest:
+    """Deterministic greedy spanning forest of phi's associated bipartite graph.
 
     First the edge to the smallest incident column of each row, then a scan of
     columns in ascending order (rows bottom-to-top within a column), adding
     every edge that does not close a cycle.
     """
-    r, n = g.rank, g.ground_size
+    r, n = phi.r, phi.n
+    edges = associated_bipartite_graph(phi)
     uf = _UnionFind(n + 1)
     chosen = []
 
@@ -167,12 +152,12 @@ def canonical_spanning_forest(g: AssociatedBipartiteGraph) -> SpanningForest:
             chosen.append((i, j))
 
     for i in range(1, r + 1):
-        nbrs = g.neighbors_of_row(i)
-        if nbrs:
-            add(i, nbrs[0])
+        j = next((j for j in range(r + 1, n + 1) if (i, j) in edges), None)
+        if j is not None:
+            add(i, j)
     for j in range(r + 1, n + 1):
         for i in range(r, 0, -1):
-            if (i, j) in g.edges:
+            if (i, j) in edges:
                 add(i, j)
     components = len({uf.find(v) for v in range(1, n + 1)})
     return SpanningForest(tuple(sorted(chosen)), components)
@@ -180,7 +165,8 @@ def canonical_spanning_forest(g: AssociatedBipartiteGraph) -> SpanningForest:
 
 @dataclass(frozen=True)
 class CanonicalizationResult:
-    """Rephasing, global phase and the resulting canonical phirotope."""
+    """Rephasing, global phase and the resulting phirotope, canonical by
+    construction: ``canonicalize`` pins it exactly on the forest it built."""
 
     rho: Rephasing
     global_phase: Phase
@@ -202,7 +188,7 @@ def canonical_targets(phi: Phirotope) -> dict:
     (i, j) of the canonical spanning forest (target (-1)**(r-i), which makes
     the entry (i, j) of a standard-form realization phase 1).
     """
-    return _tree_targets(phi.r, canonical_spanning_forest(associated_bipartite_graph(phi)))
+    return _tree_targets(phi.r, canonical_spanning_forest(phi))
 
 
 def canonicalize(phi: Phirotope) -> CanonicalizationResult:
@@ -216,7 +202,7 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     (direct sums are rejected).
     """
     r, n = phi.r, phi.n
-    forest = canonical_spanning_forest(associated_bipartite_graph(phi))
+    forest = canonical_spanning_forest(phi)
     if forest.component_count != 1:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")

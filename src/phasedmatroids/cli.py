@@ -15,7 +15,6 @@ import sys
 
 from . import __version__, jsonio
 from .canonical import (
-    associated_bipartite_graph,
     canonical_spanning_forest,
     canonicalize,
     is_essentially_oriented,
@@ -101,7 +100,7 @@ def _cmd_verify(doc, tol):
 
 def _cmd_tree(doc, tol):
     phi = jsonio.phirotope_from_json(doc, tol)
-    forest = canonical_spanning_forest(associated_bipartite_graph(phi))
+    forest = canonical_spanning_forest(phi)
     return {"forest": jsonio.forest_to_json(forest),
             "components": forest.component_count}, EXIT_OK
 

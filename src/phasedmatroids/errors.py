@@ -49,7 +49,7 @@ class DisconnectedGraphError(PhasedMatroidError):
 
 
 class NotCanonicalError(PhasedMatroidError):
-    """A phirotope expected to be in canonical form is not."""
+    """A canonical form outside what reconstruction handles: a non-uniform one."""
 
 
 class EssentiallyOrientedError(PhasedMatroidError):

@@ -9,16 +9,22 @@ match the ground-set conventions used throughout the package.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     IndexOutOfRangeError,
+    PhasedMatroidError,
     SingularLeadingBlockError,
     ZeroScalarError,
 )
 from .phases import ZERO, ZERO_MAGNITUDE_CUTOFF, Phase
+
+#: Most maximal minors ``all_maximal_minors`` computes, and most complex entries
+#: it stacks for one determinant call, bar a single larger r x r block.
+MAX_MAXIMAL_MINORS = 2**16
 
 
 @dataclass(frozen=True)
@@ -125,12 +131,19 @@ def maximal_minor(m: ComplexMatrix, columns) -> complex:
 
 
 def all_maximal_minors(m: ComplexMatrix) -> dict[tuple, complex]:
-    """Determinants of all sorted r-subsets of columns, batch-computed."""
+    """Determinants of all sorted r-subsets of columns, batch-computed; raises
+    :class:`PhasedMatroidError` above ``MAX_MAXIMAL_MINORS`` of them."""
     r, n = m.rows, m.cols
+    count = math.comb(n, r)  # checked before any subset is listed
+    if count > MAX_MAXIMAL_MINORS:
+        raise PhasedMatroidError(
+            f"C({n}, {r}) = {count} maximal minors exceed the cap of {MAX_MAXIMAL_MINORS}")
     arr = m.to_complex()
     subsets = list(itertools.combinations(range(n), r))
-    stacked = arr[:, np.asarray(subsets)].transpose(1, 0, 2)  # (nsub, r, r)
-    return {tuple(j + 1 for j in sub): complex(d) for sub, d in zip(subsets, _dets(stacked))}
+    step = max(1, MAX_MAXIMAL_MINORS // (r * r))  # stacks of shape (step, r, r)
+    dets = np.concatenate([_dets(arr[:, np.asarray(subsets[k:k + step])].transpose(1, 0, 2))
+                           for k in range(0, count, step)])
+    return {tuple(j + 1 for j in sub): complex(d) for sub, d in zip(subsets, dets)}
 
 
 def scale(m: ComplexMatrix, row_scalars, col_scalars) -> ComplexMatrix:

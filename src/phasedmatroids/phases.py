@@ -51,6 +51,10 @@ DEFAULT_TOLERANCE = Tolerance()
 #: rephasing), and fixed: the angular tolerance does not change it.
 VERIFY_TOLERANCE = Tolerance(1e-6)
 
+#: Phase residual that ``triangle_solve``'s check of its own solution always
+#: accepts, so a tight angular tolerance does not reject it over rounding.
+TRIANGLE_RESIDUAL_FLOOR = 1e-7
+
 
 def _normalize(angle: float) -> float:
     a = math.fmod(angle, TAU)
@@ -270,6 +274,6 @@ def triangle_solve(eq: TriangleEquation, tol: Tolerance = DEFAULT_TOLERANCE):
     s2 = eq.s2 if eq.s2 is not None else s
     check = s1 * complex(ua[0], ua[1]) - s2 * complex(ub[0], ub[1])
     resid = circular_distance(cmath.phase(check), g)
-    if resid > 10 * tol.eps and resid > 1e-7:
+    if resid > 10 * tol.eps and resid > TRIANGLE_RESIDUAL_FLOOR:
         raise InfeasibleTriangleError(f"solution fails phase check (residual {resid:.3g})")
     return s, t

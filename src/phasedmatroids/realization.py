@@ -18,11 +18,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .canonical import (
+    CanonicalizationResult,
     SpanningForest,
     _UnionFind,
     canonicalize,
     entry_phase,
-    is_canonical,
     is_real_valued,
     minor_phase,
     tree_potentials,
@@ -114,22 +114,21 @@ def _solve_entry(phi, alpha, norms, i, m, j, k):
     return norm
 
 
-def reconstruct(canonical: Phirotope) -> ComplexMatrix:
-    """Rebuild the canonical realization (I|N) of a uniform canonical phirotope.
+def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
+    """Rebuild the canonical realization (I|N) of uniform ``canon.canonical``.
 
     Entry phases come straight from the phirotope; tree norms are 1; the rest
     are solved in four passes of triangular equations (row-major within a
     pass), each against an anchor built from non-real entries.  Phases are
-    judged within ``canonical.tolerance``.  Raises
+    judged within ``canon.canonical.tolerance``.  Raises
     :class:`EssentiallyOrientedError` if some entry needs pass 4 and no
     non-real entry exists, and :class:`InfeasibleTriangleError` when some
     equation has no positive solution (evidence of non-realizability).
     """
+    canonical = canon.canonical
     r, n = canonical.r, canonical.n
     if not is_uniform(canonical):
         raise NotCanonicalError("reconstruction requires a uniform phirotope")
-    if not is_canonical(canonical):
-        raise NotCanonicalError("phirotope is not in canonical form")
 
     alpha = {(i, j): entry_phase(canonical, i, j)
              for i in range(1, r + 1) for j in range(r + 1, n + 1)}
@@ -191,7 +190,7 @@ def _decide_from_reconstruction(phi: Phirotope) -> RealizabilityVerdict:
     if is_real_valued(canon.canonical):
         return Unsupported(ESSENTIALLY_ORIENTED)
     try:
-        matrix = reconstruct(canon.canonical)
+        matrix = reconstruct(canon)
     except InfeasibleTriangleError as exc:
         return NotRealizable(infeasible_equation=str(exc))
     except EssentiallyOrientedError as exc:
@@ -232,18 +231,17 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
     return verdict
 
 
-def rank2_norm(canonical: Phirotope, j: int) -> float:
-    """Norm of entry (1, j) of the canonical realization of a rank-2 phirotope.
+def rank2_norm(canon: CanonicalizationResult, j: int) -> float:
+    """Norm of entry (1, j) of the rank-2 canonical realization ``canon`` forces.
 
     Solved through the general triangular-equation machinery; the classical
     sine-ratio formula is equivalent up to sign conventions.
     """
+    canonical = canon.canonical
     if canonical.r != 2:
         raise ValueError("rank2_norm requires a rank-2 phirotope")
     if not (3 < j <= canonical.n):
         raise ValueError(f"column {j} outside (3, {canonical.n}]")
-    if not is_canonical(canonical):
-        raise NotCanonicalError("phirotope is not in canonical form")
     alpha = {(i, c): entry_phase(canonical, i, c)
              for i in (1, 2) for c in (3, j)}
     return _solve_entry(canonical, alpha, _tree_norms(2, canonical.n), 1, 2, j, 3)
@@ -261,8 +259,8 @@ def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,
     values = list(values)
     if len(values) != len(forest.edges):
         raise ValueError("need one value per forest edge")
-    if any(v <= 0.0 for v in values):
-        raise ValueError("tree values must be positive")
+    if not all(0.0 < v < math.inf for v in values):  # NaN fails both comparisons
+        raise ValueError("tree values must be positive and finite")
     uf = _UnionFind(n + 1)
     deltas = []
     for (i, j), val in zip(forest.edges, values):

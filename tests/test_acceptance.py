@@ -19,7 +19,6 @@ from phasedmatroids import (
     Phase,
     Realizable,
     NotRealizable,
-    associated_bipartite_graph,
     canonical_spanning_forest,
     canonicalize,
     decide_realizability,
@@ -151,7 +150,7 @@ def test_criterion_5_tree_parametrization():
         phi = phirotope_from_json(load_fixture("realizable_rank3_phirotope.json"),
                                   DEFAULT_TOLERANCE)
         base = matrix_from_json(load_fixture("realizable_rank3_canonical_matrix.json"))
-        forest = canonical_spanning_forest(associated_bipartite_graph(phi))
+        forest = canonical_spanning_forest(phi)
         rng = np.random.default_rng(5)
         matrices = []
         for _ in range(50):
@@ -162,7 +161,7 @@ def test_criterion_5_tree_parametrization():
         for a, b in itertools.combinations(matrices, 2):
             assert a.max_distance(b) > 1e-9
         ones = normalize_to_tree(base, forest, [1.0] * len(forest.edges))
-        assert ones.max_distance(reconstruct(phi)) < 1e-6
+        assert ones.max_distance(reconstruct(canonicalize(phi))) < 1e-6
 
 
 def test_criterion_6_hypersum_oracle():

@@ -227,6 +227,29 @@ def test_huge_count_with_short_values_exits_2_quickly(tmp_path):
     assert set(json.loads(proc.stdout)) == {"error"}
 
 
+def test_matrix_above_the_minor_cap_exits_2_quickly(tmp_path):
+    """A 15 x 30 matrix has C(30, 15) = 155117520 maximal minors, more than
+    MAX_MAXIMAL_MINORS, so from-matrix refuses it before listing a column
+    subset.  The subprocess's address space is capped at 1 GiB, so that a
+    regression ends in a MemoryError instead of exhausting the host."""
+    resource = pytest.importorskip("resource")
+    entries = [[{"norm": 1.0 + 0.01 * j, "angle_over_pi": ((i * 30 + j) % 7) / 7}
+                for j in range(30)] for i in range(15)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"rows": 15, "cols": 30, "entries": entries}))
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "phasedmatroids.cli", "from-matrix",
+                           "--input", str(path)],
+                          env=env, capture_output=True, text=True, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (2**30, 2**30)))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert set(json.loads(proc.stdout)) == {"error"}
+
+
 @pytest.mark.parametrize("r, n", [(2, 7), (3, 7), (4, 8), (5, 9)])
 def test_realize_reports_the_violations_validate_lists(tmp_path, capsys, r, n):
     """On GP-invalid input realize runs the GP check after the pipeline; its

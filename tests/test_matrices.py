@@ -1,6 +1,7 @@
 """Complex matrix storage, determinants, scaling and standard form."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from phasedmatroids import (
     ComplexMatrix,
+    PhasedMatroidError,
     SingularLeadingBlockError,
     ZeroScalarError,
     all_maximal_minors,
@@ -16,6 +18,7 @@ from phasedmatroids import (
     scale,
     to_standard_form,
 )
+from phasedmatroids.matrices import MAX_MAXIMAL_MINORS, _dets
 
 
 def random_matrix(rng, r, n):
@@ -117,6 +120,23 @@ def test_all_maximal_minors_matches_single():
         batch = all_maximal_minors(m)
         for cols, d in batch.items():
             assert d == pytest.approx(maximal_minor(m, cols), abs=1e-10)
+
+
+def test_all_maximal_minors_stacks_in_blocks_with_the_same_bits():
+    """At (5, 16) the 4368 minors take two determinant calls; each
+    determinant is the one a single stack of all of them gives."""
+    m = random_matrix(np.random.default_rng(18), 5, 16)
+    subsets = list(itertools.combinations(range(16), 5))
+    whole = _dets(m.to_complex()[:, np.asarray(subsets)].transpose(1, 0, 2))
+    assert list(all_maximal_minors(m).values()) == [complex(d) for d in whole]
+
+
+def test_all_maximal_minors_rejects_counts_above_the_cap():
+    at_cap = ComplexMatrix(np.ones((1, MAX_MAXIMAL_MINORS)), np.zeros((1, MAX_MAXIMAL_MINORS)))
+    assert len(all_maximal_minors(at_cap)) == MAX_MAXIMAL_MINORS
+    for r, n in ((1, MAX_MAXIMAL_MINORS + 1), (15, 30)):
+        with pytest.raises(PhasedMatroidError, match=f"C\\({n}, {r}\\)"):
+            all_maximal_minors(ComplexMatrix(np.ones((r, n)), np.zeros((r, n))))
 
 
 def test_polar_roundtrip():

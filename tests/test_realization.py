@@ -19,7 +19,6 @@ from phasedmatroids import (
     Realizable,
     Rephasing,
     Unsupported,
-    associated_bipartite_graph,
     canonical_spanning_forest,
     canonicalize,
     decide_realizability,
@@ -45,7 +44,7 @@ def canonical_of(matrix):
 
 
 def test_reconstruct_nonreal2ex(nonreal2ex_phi):
-    m = reconstruct(nonreal2ex_phi)
+    m = reconstruct(canonicalize(nonreal2ex_phi))
     expected = np.array([
         [1, 0, 1, cmath.exp(1j * math.pi / 2), cmath.exp(1j * math.pi / 3)],
         [0, 1, 1, 1, 1]], dtype=complex)
@@ -53,12 +52,12 @@ def test_reconstruct_nonreal2ex(nonreal2ex_phi):
 
 
 def test_rank2_norms_nonreal2ex(nonreal2ex_phi):
-    assert rank2_norm(nonreal2ex_phi, 4) == pytest.approx(1.0, abs=1e-12)
-    assert rank2_norm(nonreal2ex_phi, 5) == pytest.approx(1.0, abs=1e-12)
+    assert rank2_norm(canonicalize(nonreal2ex_phi), 4) == pytest.approx(1.0, abs=1e-12)
+    assert rank2_norm(canonicalize(nonreal2ex_phi), 5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verify_witness_nonreal2ex(nonreal2ex_phi):
-    w = verify(nonreal2ex_phi, reconstruct(nonreal2ex_phi))
+    w = verify(nonreal2ex_phi, reconstruct(canonicalize(nonreal2ex_phi)))
     assert w.basis == (4, 5)
     assert w.expected.isclose(Phase.from_angle_over_pi(5 / 6))
     assert w.computed.isclose(Phase.from_angle_over_pi(11 / 12))
@@ -105,6 +104,24 @@ def test_decide_invalid_phirotope():
     assert verdict.reason == "not_a_phirotope"
 
 
+def test_decide_builds_the_graph_and_forest_once(monkeypatch):
+    """The canonical tree is derived once per decision: reconstruct takes
+    canonicalize's result and does not rebuild the tree to re-check it."""
+    from phasedmatroids import canonical
+    calls = []
+    for name in ("associated_bipartite_graph", "canonical_spanning_forest"):
+        def counted(phi, _name=name, _original=getattr(canonical, name)):
+            calls.append(_name)
+            return _original(phi)
+        monkeypatch.setattr(canonical, name, counted)
+    rng = np.random.default_rng(49)
+    phi = from_matrix(ComplexMatrix.from_complex(
+        rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))))
+    assert is_uniform(phi)
+    assert isinstance(decide_realizability(phi), Realizable)
+    assert sorted(calls) == ["associated_bipartite_graph", "canonical_spanning_forest"]
+
+
 def test_reconstruct_pass1_only():
     # rank 2 with every free entry non-real: the first pass does all the work
     rng = np.random.default_rng(43)
@@ -114,7 +131,7 @@ def test_reconstruct_pass1_only():
     m = ComplexMatrix.from_complex(np.array(
         [[1, 0, 1, row[0], row[1]], [0, 1, 1, 1, 1]], dtype=complex))
     phi = from_matrix(m)
-    got = reconstruct(canonicalize(phi).canonical)
+    got = reconstruct(canonicalize(phi))
     assert got.max_distance(m) < 1e-9
 
 
@@ -129,8 +146,7 @@ def test_reconstruct_all_passes():
     m = ComplexMatrix.from_complex(np.hstack([np.eye(3),
                                               np.ones((3, 1)), n_block]))
     phi = from_matrix(m)
-    canonical = canonicalize(phi).canonical
-    got = reconstruct(canonical)
+    got = reconstruct(canonicalize(phi))
     assert got.max_distance(m) < 1e-8
     verdict = decide_realizability(phi)
     assert isinstance(verdict, Realizable)
@@ -140,9 +156,8 @@ def test_reconstruct_requires_anchor():
     rng = np.random.default_rng(44)
     m = ComplexMatrix.from_complex(
         np.hstack([np.eye(3), np.abs(rng.normal(size=(3, 3)))]).astype(complex))
-    canonical = canonicalize(from_matrix(m)).canonical
     with pytest.raises(EssentiallyOrientedError):
-        reconstruct(canonical)
+        reconstruct(canonicalize(from_matrix(m)))
 
 
 def test_reconstruct_infeasible_equation():
@@ -153,7 +168,7 @@ def test_reconstruct_infeasible_equation():
               (3, 4): Phase.from_angle_over_pi(1.5)}
     phi = Phirotope(4, 2, values, validate=False)
     with pytest.raises(InfeasibleTriangleError):
-        reconstruct(phi)
+        reconstruct(canonicalize(phi))
 
 
 def test_roundtrip_random_matrices():
@@ -176,7 +191,7 @@ def test_normalize_to_tree_identity_and_readback():
     rng = np.random.default_rng(46)
     arr = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
     m = to_standard_form(ComplexMatrix.from_complex(arr))
-    forest = canonical_spanning_forest(associated_bipartite_graph(from_matrix(m)))
+    forest = canonical_spanning_forest(from_matrix(m))
     current = [m.entry_norm(i, j) for (i, j) in forest.edges]
     assert normalize_to_tree(m, forest, current).max_distance(m) < 1e-12
 
@@ -192,11 +207,12 @@ def test_normalize_to_tree_rejects_bad_forests():
     rng = np.random.default_rng(47)
     arr = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     m = to_standard_form(ComplexMatrix.from_complex(arr))
-    forest = canonical_spanning_forest(associated_bipartite_graph(from_matrix(m)))
+    forest = canonical_spanning_forest(from_matrix(m))
     with pytest.raises(ValueError):
         normalize_to_tree(m, forest, [1.0])
-    with pytest.raises(ValueError):
-        normalize_to_tree(m, forest, [1.0, -1.0, 1.0])
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            normalize_to_tree(m, forest, [1.0, bad, 1.0])
     from phasedmatroids import SpanningForest
     cyclic = SpanningForest(((1, 3), (2, 3), (1, 4), (2, 4)), 1)
     with pytest.raises(NonSpanningForestError):
@@ -219,7 +235,7 @@ def test_uniqueness_of_canonical_point():
         rho_units = np.array([p.unit() for p in result.rho.rho])
         rephased = ComplexMatrix.from_complex(arr * rho_units[None, :])
         std = to_standard_form(rephased)
-        forest = canonical_spanning_forest(associated_bipartite_graph(result.canonical))
+        forest = canonical_spanning_forest(result.canonical)
         renormed = normalize_to_tree(std, forest, [1.0] * len(forest.edges))
         assert renormed.max_distance(verdict.matrix) < 1e-6
 
@@ -283,7 +299,7 @@ def _degenerate_gp_invalid_phirotope():
     for _ in range(500):
         phi = _near_real_phirotope(rng)
         try:
-            reconstruct(canonicalize(phi).canonical)
+            reconstruct(canonicalize(phi))
         except (InfeasibleTriangleError, EssentiallyOrientedError):
             continue
         except DegenerateTriangleError:
