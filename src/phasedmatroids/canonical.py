@@ -165,12 +165,13 @@ def canonical_spanning_forest(phi: Phirotope) -> SpanningForest:
 
 @dataclass(frozen=True)
 class CanonicalizationResult:
-    """Rephasing, global phase and the resulting phirotope, canonical by
-    construction: ``canonicalize`` pins it exactly on the forest it built."""
+    """Rephasing, global phase, the resulting canonical phirotope and the
+    canonical spanning forest its values are pinned on."""
 
     rho: Rephasing
     global_phase: Phase
     canonical: Phirotope
+    forest: SpanningForest
 
 
 def _tree_targets(r: int, forest: SpanningForest) -> dict:
@@ -189,6 +190,11 @@ def canonical_targets(phi: Phirotope) -> dict:
     the entry (i, j) of a standard-form realization phase 1).
     """
     return _tree_targets(phi.r, canonical_spanning_forest(phi))
+
+
+def _pinned_on(phi: Phirotope, forest: SpanningForest) -> bool:
+    """True iff phi meets every pin of ``forest`` within ``phi.tolerance``."""
+    return all(phi.values[b].isclose(t, phi.tolerance) for b, t in _tree_targets(phi.r, forest).items())
 
 
 def canonicalize(phi: Phirotope) -> CanonicalizationResult:
@@ -224,7 +230,7 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
                 f"canonicalization failed to pin basis {basis}: got {got}, want {target}")
         values[basis] = target
     canonical = Phirotope(n, r, values, phi.tolerance, validate=False)
-    return CanonicalizationResult(rho, alpha, canonical)
+    return CanonicalizationResult(rho, alpha, canonical, forest)
 
 
 def is_canonical(phi: Phirotope) -> bool:
@@ -232,7 +238,7 @@ def is_canonical(phi: Phirotope) -> bool:
     ``canonical_targets`` matches its target within ``phi.tolerance``."""
     if phi.values[tuple(range(1, phi.r + 1))].is_zero:
         return False
-    return all(phi.values[b].isclose(t, phi.tolerance) for b, t in canonical_targets(phi).items())
+    return _pinned_on(phi, canonical_spanning_forest(phi))
 
 
 def is_real_valued(phi: Phirotope) -> bool:

@@ -49,7 +49,7 @@ class DisconnectedGraphError(PhasedMatroidError):
 
 
 class NotCanonicalError(PhasedMatroidError):
-    """A canonical form outside what reconstruction handles: a non-uniform one."""
+    """A phirotope expected to be in canonical form, or uniform, is not."""
 
 
 class EssentiallyOrientedError(PhasedMatroidError):

@@ -9,22 +9,20 @@ match the ground-set conventions used throughout the package.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     IndexOutOfRangeError,
-    PhasedMatroidError,
     SingularLeadingBlockError,
     ZeroScalarError,
 )
 from .phases import ZERO, ZERO_MAGNITUDE_CUTOFF, Phase
 
-#: Most maximal minors ``all_maximal_minors`` computes, and most complex entries
-#: it stacks for one determinant call, bar a single larger r x r block.
-MAX_MAXIMAL_MINORS = 2**16
+#: Most complex entries ``all_maximal_minors`` stacks for one determinant call,
+#: bar a single larger r x r block, so memory does not grow with r**2 x minors.
+DET_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -131,18 +129,14 @@ def maximal_minor(m: ComplexMatrix, columns) -> complex:
 
 
 def all_maximal_minors(m: ComplexMatrix) -> dict[tuple, complex]:
-    """Determinants of all sorted r-subsets of columns, batch-computed; raises
-    :class:`PhasedMatroidError` above ``MAX_MAXIMAL_MINORS`` of them."""
+    """Determinants of all sorted r-subsets of columns, batch-computed in
+    stacks of at most ``DET_STACK_ENTRIES`` entries."""
     r, n = m.rows, m.cols
-    count = math.comb(n, r)  # checked before any subset is listed
-    if count > MAX_MAXIMAL_MINORS:
-        raise PhasedMatroidError(
-            f"C({n}, {r}) = {count} maximal minors exceed the cap of {MAX_MAXIMAL_MINORS}")
     arr = m.to_complex()
     subsets = list(itertools.combinations(range(n), r))
-    step = max(1, MAX_MAXIMAL_MINORS // (r * r))  # stacks of shape (step, r, r)
-    dets = np.concatenate([_dets(arr[:, np.asarray(subsets[k:k + step])].transpose(1, 0, 2))
-                           for k in range(0, count, step)])
+    step = max(1, DET_STACK_ENTRIES // (r * r))  # stacks of shape (step, r, r), one alive at a time
+    dets = itertools.chain.from_iterable(_dets(arr[:, np.asarray(subsets[k:k + step])].transpose(1, 0, 2))
+                                         for k in range(0, len(subsets), step))
     return {tuple(j + 1 for j in sub): complex(d) for sub, d in zip(subsets, dets)}
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     IndexOutOfRangeError,
     InvalidPhirotopeError,
+    PhasedMatroidError,
     RankDeficientError,
 )
 from .matrices import ComplexMatrix, all_maximal_minors
@@ -39,6 +40,10 @@ from .phases import (
 #: (X, Y) pairs per kernel call of ``Phirotope.check_gp``.  The sweep holds one
 #: block of terms at a time, so its memory is bounded by (r+1) times this.
 GP_BLOCK_COLUMNS = 2**16
+
+#: Most values ``from_matrix`` computes: its C(n, r) values can far outgrow the
+#: matrix it reads, while a phirotope input already lists its values.
+MAX_MATRIX_MINORS = 2**16
 
 
 def sort_with_sign(indices: Sequence[int]):
@@ -226,8 +231,13 @@ def from_matrix(m: ComplexMatrix, tolerance: Tolerance = DEFAULT_TOLERANCE) -> P
 
     The output satisfies the Grassmann-Pluecker relations by construction
     (minors of an actual matrix satisfy the classical relations), so
-    construction-time validation is skipped.
+    construction-time validation is skipped.  Above ``MAX_MATRIX_MINORS``
+    minors, raises :class:`PhasedMatroidError` before listing a subset.
     """
+    count = math.comb(m.cols, m.rows)
+    if count > MAX_MATRIX_MINORS:
+        raise PhasedMatroidError(
+            f"C({m.cols}, {m.rows}) = {count} maximal minors exceed the cap of {MAX_MATRIX_MINORS}")
     values = minor_phases(m)
     if all(p.is_zero for p in values.values()):
         raise RankDeficientError("matrix has no nonzero maximal minor")

@@ -25,6 +25,7 @@ from .canonical import (
     entry_phase,
     is_real_valued,
     minor_phase,
+    _pinned_on,
     tree_potentials,
 )
 from .errors import (
@@ -121,14 +122,15 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
     are solved in four passes of triangular equations (row-major within a
     pass), each against an anchor built from non-real entries.  Phases are
     judged within ``canon.canonical.tolerance``.  Raises
-    :class:`EssentiallyOrientedError` if some entry needs pass 4 and no
-    non-real entry exists, and :class:`InfeasibleTriangleError` when some
-    equation has no positive solution (evidence of non-realizability).
+    :class:`NotCanonicalError` unless it is uniform and pinned on
+    ``canon.forest``, :class:`EssentiallyOrientedError` if some entry needs
+    pass 4 and no non-real entry exists, and :class:`InfeasibleTriangleError`
+    when some equation has no positive solution (evidence of non-realizability).
     """
     canonical = canon.canonical
     r, n = canonical.r, canonical.n
-    if not is_uniform(canonical):
-        raise NotCanonicalError("reconstruction requires a uniform phirotope")
+    if not (is_uniform(canonical) and _pinned_on(canonical, canon.forest)):
+        raise NotCanonicalError("reconstruction requires a uniform canonical phirotope")
 
     alpha = {(i, j): entry_phase(canonical, i, j)
              for i in range(1, r + 1) for j in range(r + 1, n + 1)}
@@ -242,6 +244,8 @@ def rank2_norm(canon: CanonicalizationResult, j: int) -> float:
         raise ValueError("rank2_norm requires a rank-2 phirotope")
     if not (3 < j <= canonical.n):
         raise ValueError(f"column {j} outside (3, {canonical.n}]")
+    if not _pinned_on(canonical, canon.forest):
+        raise NotCanonicalError("phirotope is not in canonical form")
     alpha = {(i, c): entry_phase(canonical, i, c)
              for i in (1, 2) for c in (3, j)}
     return _solve_entry(canonical, alpha, _tree_norms(2, canonical.n), 1, 2, j, 3)

@@ -229,7 +229,7 @@ def test_huge_count_with_short_values_exits_2_quickly(tmp_path):
 
 def test_matrix_above_the_minor_cap_exits_2_quickly(tmp_path):
     """A 15 x 30 matrix has C(30, 15) = 155117520 maximal minors, more than
-    MAX_MAXIMAL_MINORS, so from-matrix refuses it before listing a column
+    MAX_MATRIX_MINORS, so from-matrix refuses it before listing a column
     subset.  The subprocess's address space is capped at 1 GiB, so that a
     regression ends in a MemoryError instead of exhausting the host."""
     resource = pytest.importorskip("resource")

@@ -18,7 +18,7 @@ from phasedmatroids import (
     scale,
     to_standard_form,
 )
-from phasedmatroids.matrices import MAX_MAXIMAL_MINORS, _dets
+from phasedmatroids.matrices import _dets
 
 
 def random_matrix(rng, r, n):
@@ -129,14 +129,6 @@ def test_all_maximal_minors_stacks_in_blocks_with_the_same_bits():
     subsets = list(itertools.combinations(range(16), 5))
     whole = _dets(m.to_complex()[:, np.asarray(subsets)].transpose(1, 0, 2))
     assert list(all_maximal_minors(m).values()) == [complex(d) for d in whole]
-
-
-def test_all_maximal_minors_rejects_counts_above_the_cap():
-    at_cap = ComplexMatrix(np.ones((1, MAX_MAXIMAL_MINORS)), np.zeros((1, MAX_MAXIMAL_MINORS)))
-    assert len(all_maximal_minors(at_cap)) == MAX_MAXIMAL_MINORS
-    for r, n in ((1, MAX_MAXIMAL_MINORS + 1), (15, 30)):
-        with pytest.raises(PhasedMatroidError, match=f"C\\({n}, {r}\\)"):
-            all_maximal_minors(ComplexMatrix(np.ones((r, n)), np.zeros((r, n))))
 
 
 def test_polar_roundtrip():

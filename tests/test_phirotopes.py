@@ -13,6 +13,7 @@ from phasedmatroids import (
     IndexOutOfRangeError,
     InvalidPhirotopeError,
     Phase,
+    PhasedMatroidError,
     Phirotope,
     RankDeficientError,
     Rephasing,
@@ -101,6 +102,14 @@ def test_from_matrix_rank_deficient():
     m = ComplexMatrix.from_complex(np.zeros((2, 4), dtype=complex) + 0j)
     with pytest.raises(RankDeficientError):
         from_matrix(m)
+
+
+def test_from_matrix_rejects_minor_counts_above_the_cap():
+    cap = phirotopes.MAX_MATRIX_MINORS
+    assert len(from_matrix(ComplexMatrix(np.ones((1, cap)), np.zeros((1, cap)))).values) == cap
+    for r, n in ((1, cap + 1), (15, 30)):
+        with pytest.raises(PhasedMatroidError, match=f"C\\({n}, {r}\\)"):
+            from_matrix(ComplexMatrix(np.ones((r, n)), np.zeros((r, n))))
 
 
 def test_rephase_identity(nonreal2ex_phi):

@@ -13,6 +13,7 @@ from phasedmatroids import (
     EssentiallyOrientedError,
     InfeasibleTriangleError,
     NonSpanningForestError,
+    NotCanonicalError,
     NotRealizable,
     Phase,
     Phirotope,
@@ -33,6 +34,8 @@ from phasedmatroids import (
     verify,
 )
 from phasedmatroids import jsonio, realization
+from phasedmatroids.canonical import CanonicalizationResult
+from phasedmatroids.phirotopes import MAX_MATRIX_MINORS, minor_phases
 from phasedmatroids.cli import run
 from phasedmatroids.realization import ESSENTIALLY_ORIENTED, NOT_A_PHIROTOPE, NOT_UNIFORM
 
@@ -61,6 +64,30 @@ def test_verify_witness_nonreal2ex(nonreal2ex_phi):
     assert w.basis == (4, 5)
     assert w.expected.isclose(Phase.from_angle_over_pi(5 / 6))
     assert w.computed.isclose(Phase.from_angle_over_pi(11 / 12))
+
+
+def test_reconstruct_and_rank2_norm_reject_an_unpinned_result(nonreal2ex_phi):
+    """A CanonicalizationResult built by hand around a phirotope that is not
+    pinned on its forest is refused, as a bare non-canonical phirotope was."""
+    canon = canonicalize(nonreal2ex_phi)
+    off = CanonicalizationResult(canon.rho, canon.global_phase,
+                                 scale_global(canon.canonical, Phase(1.0)), canon.forest)
+    with pytest.raises(NotCanonicalError):
+        reconstruct(off)
+    with pytest.raises(NotCanonicalError):
+        rank2_norm(off, 4)
+
+
+def test_verify_and_decide_answer_above_the_from_matrix_cap():
+    """The minor-count cap bounds only from_matrix, whose output outgrows its
+    input; a (2, 400) pair lists its 79800 values, and verify and the
+    decision answer on it."""
+    rng = np.random.default_rng(52)
+    m = ComplexMatrix.from_complex(rng.normal(size=(2, 400)) + 1j * rng.normal(size=(2, 400)))
+    phi = Phirotope(400, 2, minor_phases(m), validate=False)
+    assert len(phi.values) > MAX_MATRIX_MINORS
+    assert verify(phi, m) is None
+    assert isinstance(decide_realizability(phi), Realizable)
 
 
 def test_verify_definitional():
