@@ -69,9 +69,17 @@ def phase_from_json(obj: Any) -> Phase:
 
 
 def matrix_to_json(m: ComplexMatrix) -> dict:
-    entries = [[None if m.entry_norm(i, j) == 0.0 else
-                {"norm": m.entry_norm(i, j), "angle_over_pi": m.entry_phase(i, j).angle_over_pi}
-                for j in range(1, m.cols + 1)] for i in range(1, m.rows + 1)]
+    entries = []
+    for i in range(1, m.rows + 1):
+        row = []
+        for j in range(1, m.cols + 1):
+            norm = m.entry_norm(i, j)
+            if norm == 0.0:
+                row.append(None)
+            else:
+                row.append({"norm": norm,
+                            "angle_over_pi": m.entry_phase(i, j).angle_over_pi})
+        entries.append(row)
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 

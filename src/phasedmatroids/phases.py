@@ -102,7 +102,9 @@ class Phase:
 
     def unit(self) -> complex:
         """The phase as a complex number (0 for the zero phase)."""
-        return 0j if self.angle is None else cmath.exp(1j * self.angle)
+        if self.angle is None:
+            return 0j
+        return cmath.exp(1j * self.angle)
 
     def __mul__(self, other: "Phase") -> "Phase":
         if self.angle is None or other.angle is None:
@@ -129,8 +131,12 @@ class Phase:
 
     def is_real(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """True iff this is the zero phase or within tolerance of +1 / -1."""
-        return (self.is_zero or circular_distance(self.angle, 0.0) < tol.eps
-                or circular_distance(self.angle, math.pi) < tol.eps)
+        if self.is_zero:
+            return True
+        return (
+            circular_distance(self.angle, 0.0) < tol.eps
+            or circular_distance(self.angle, math.pi) < tol.eps
+        )
 
     def __repr__(self):
         if self.angle is None:
