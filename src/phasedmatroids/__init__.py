@@ -15,7 +15,6 @@ from .canonical import (
     is_canonical,
     is_essentially_oriented,
     minor_phase,
-    shuffle_sign,
 )
 from .errors import (
     DegenerateTriangleError,
@@ -30,7 +29,6 @@ from .errors import (
     PhasedMatroidError,
     RankDeficientError,
     SingularLeadingBlockError,
-    UnsupportedMinorSizeError,
     ZeroScalarError,
 )
 from .matrices import (
@@ -70,7 +68,6 @@ from .realization import (
     Witness,
     decide_realizability,
     normalize_to_tree,
-    rank2_norm,
     reconstruct,
     verify,
 )

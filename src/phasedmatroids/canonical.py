@@ -12,28 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DisconnectedGraphError,
-    FirstSubsetNotBasisError,
-    PhasedMatroidError,
-    UnsupportedMinorSizeError,
-)
+from .errors import DisconnectedGraphError, FirstSubsetNotBasisError, PhasedMatroidError
 from .phases import VERIFY_TOLERANCE, Phase, circular_distance
 from .phirotopes import Phirotope, Rephasing, rephase, scale_global
-
-
-def shuffle_sign(subset, rank: int) -> int:
-    """Sign of the shuffle permutation replacing the rows in ``subset``.
-
-    sigma counts, for each h in the subset, the elements of [rank] outside the
-    subset that exceed h; the sign is (-1)**sigma.
-    """
-    h = set(subset)
-    if not h <= set(range(1, rank + 1)):
-        raise ValueError(f"subset {sorted(h)} not contained in [1, {rank}]")
-    complement = [k for k in range(1, rank + 1) if k not in h]
-    sigma = sum(1 for x in h for k in complement if k > x)
-    return (-1) ** (sigma % 2)
 
 
 def entry_phase(phi: Phirotope, i: int, j: int) -> Phase:
@@ -43,24 +24,23 @@ def entry_phase(phi: Phirotope, i: int, j: int) -> Phase:
 
 
 def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
-    """Forced phase of the k x k minor on the given rows and columns (> rank):
-    the shuffle sign of the rows times the value on the rows' complement in
-    {1..r} followed by the columns, a tuple that is already sorted.
+    """Forced phase of the k x k minor on rows H and columns J (> rank) in any
+    standard-form realization (I|N), for any k <= min(r, n - r).
 
-    Only k in {1, 2} is supported.
+    It is phi at (1, ..., r) with the sorted rows of H replaced by the sorted
+    columns of J: that r x r minor of (I|N) is the k x k minor of N, so
+    ``Phirotope.evaluate`` gives its phase with the sign of sorting the tuple.
     """
-    h = tuple(sorted(row_subset))
-    j = tuple(sorted(col_subset))
-    if len(h) != len(j) or len(h) not in (1, 2):
-        raise UnsupportedMinorSizeError("only 1x1 and 2x2 minors are supported")
-    r = phi.r
-    if len(set(h)) < len(h) or len(set(j)) < len(j):
-        raise ValueError("minor rows and columns must be distinct")
-    if any(not (r < c <= phi.n) for c in j):
-        raise ValueError("minor columns must lie beyond the identity block")
-    sign = shuffle_sign(h, r)  # raises ValueError on rows outside [1, r]
-    complement = tuple(k for k in range(1, r + 1) if k not in h)
-    return phi.values[complement + j].times_sign(sign)
+    rows, cols = sorted(row_subset), sorted(col_subset)
+    r, n = phi.r, phi.n
+    if not (len(set(rows)) == len(rows) == len(set(cols)) == len(cols)
+            and all(1 <= i <= r for i in rows) and all(r < j <= n for j in cols)):
+        raise ValueError(f"a minor needs distinct rows in [1, {r}] and as many "
+                         f"distinct columns in ({r}, {n}], got {rows} and {cols}")
+    indices = list(range(1, r + 1))
+    for i, j in zip(rows, cols):
+        indices[i - 1] = j
+    return phi.evaluate(indices)
 
 
 def associated_bipartite_graph(phi: Phirotope) -> frozenset:

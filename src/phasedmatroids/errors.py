@@ -36,10 +36,6 @@ class InfeasibleTriangleError(DegenerateTriangleError):
     """
 
 
-class UnsupportedMinorSizeError(PhasedMatroidError, ValueError):
-    """Phase-minor extraction is only available for 1x1 and 2x2 minors."""
-
-
 class FirstSubsetNotBasisError(PhasedMatroidError):
     """{1, ..., r} is not a basis of the underlying matroid."""
 

@@ -43,6 +43,8 @@ class ComplexMatrix:
             raise ValueError("norms and angles must be equal-shape 2-d arrays")
         if norms.shape[0] > norms.shape[1]:
             raise ValueError("matrix must have at least as many columns as rows")
+        if not (np.isfinite(norms).all() and np.isfinite(angles).all()):
+            raise ValueError("entry norms and angles must be finite")
         if (norms < 0).any():
             raise ValueError("entry norms must be nonnegative")
         angles = np.where(norms > 0, np.mod(angles, 2 * np.pi), 0.0)

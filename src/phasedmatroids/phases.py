@@ -217,7 +217,7 @@ class TriangleEquation:
     """gamma = ph(s1*alpha - s2*beta) with exactly one of s1, s2 unknown.
 
     All three phases are nonzero and alpha != +/-beta; the known side is a
-    positive real, the unknown side is ``None``.
+    positive finite real, the unknown side is ``None``.
     """
 
     gamma: Phase
@@ -232,8 +232,8 @@ class TriangleEquation:
         if (self.s1 is None) == (self.s2 is None):
             raise ValueError("exactly one of s1, s2 must be unknown")
         known = self.s1 if self.s1 is not None else self.s2
-        if known <= 0.0:
-            raise ValueError("the known side must be positive")
+        if not 0.0 < known < math.inf:  # NaN fails both comparisons
+            raise ValueError("the known side must be positive and finite")
 
 
 def triangle_solve(eq: TriangleEquation, tol: Tolerance = DEFAULT_TOLERANCE):

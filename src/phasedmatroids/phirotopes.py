@@ -70,7 +70,8 @@ def sort_with_sign(indices: Sequence[int]):
 
 @dataclass(frozen=True)
 class Rephasing:
-    """One nonzero phase per ground element, acting multiplicatively."""
+    """One nonzero phase per ground element, acting multiplicatively; element
+    k's phase is ``rho[k - 1]``."""
 
     rho: tuple
 
@@ -82,10 +83,6 @@ class Rephasing:
 
     def __len__(self):
         return len(self.rho)
-
-    def __getitem__(self, k: int) -> Phase:
-        """Phase for 1-based ground element k."""
-        return self.rho[k - 1]
 
     def inverse(self) -> "Rephasing":
         return Rephasing(tuple(p.inverse() for p in self.rho))
@@ -190,7 +187,10 @@ class Phirotope:
 
     def max_angular_distance(self, other: "Phirotope") -> float:
         """Largest circular distance between corresponding nonzero values;
-        infinity on a zero/nonzero mismatch."""
+        infinity on a zero/nonzero mismatch.  Both must have the same (n, r)."""
+        if (self.n, self.r) != (other.n, other.r):
+            raise ValueError(f"cannot compare a ({self.r}, {self.n}) phirotope "
+                             f"with a ({other.r}, {other.n}) one")
         worst = 0.0
         for b, p in self.values.items():
             q = other.values[b]
@@ -252,7 +252,7 @@ def rephase(phi: Phirotope, rho: Rephasing) -> Phirotope:
     for b, p in phi.values.items():
         q = p
         for k in b:
-            q = q * rho[k]
+            q = q * rho.rho[k - 1]
         values[b] = q
     return Phirotope(phi.n, phi.r, values, phi.tolerance, validate=False)
 

@@ -78,20 +78,10 @@ class Unsupported:
 RealizabilityVerdict = Union[Realizable, NotRealizable, Unsupported]
 
 
-def _tree_norms(r: int, n: int) -> np.ndarray:
-    """Entry norms of a canonical realization before the triangle passes: the
-    identity block, 1 on row r and column r+1 (the tree), nan where unknown."""
-    norms = np.full((r, n), np.nan)
-    norms[:, :r] = np.eye(r)
-    norms[r - 1, r:] = 1.0
-    norms[:, r] = 1.0
-    return norms
-
-
 def _solve_entry(phi, alpha, norms, i, m, j, k):
     """Solve for the norm at 1-based (i, j) from the 2x2 minor on rows {i, m}
     and columns {j, k}, where the other three norms are known; the solution
-    is written into ``norms`` and returned."""
+    is written into ``norms``."""
     a, b = min(i, m), max(i, m)
     c, d = min(j, k), max(j, k)
     ac, ad = norms.item(a - 1, c - 1), norms.item(a - 1, d - 1)
@@ -111,8 +101,7 @@ def _solve_entry(phi, alpha, norms, i, m, j, k):
     except InfeasibleTriangleError as exc:
         raise InfeasibleTriangleError(
             f"minor rows {{{a},{b}}} cols {{{c},{d}}}: {exc}") from exc
-    norms[i - 1, j - 1] = norm = solved / cofactor
-    return norm
+    norms[i - 1, j - 1] = solved / cofactor
 
 
 def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
@@ -154,7 +143,10 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
         else:
             raise EssentiallyOrientedError(
                 "no non-real entry available to anchor the reconstruction")
-    norms = _tree_norms(r, n)
+    norms = np.full((r, n), np.nan)  # the identity block, the all-ones tree, nan where unknown
+    norms[:, :r] = np.eye(r)
+    norms[r - 1, r:] = 1.0
+    norms[:, r] = 1.0
     for _, i, j, m, k in sorted(plan):
         _solve_entry(canonical, alpha, norms, i, m, j, k)
 
@@ -231,24 +223,6 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
     if isinstance(verdict, PhasedMatroidError):
         raise verdict
     return verdict
-
-
-def rank2_norm(canon: CanonicalizationResult, j: int) -> float:
-    """Norm of entry (1, j) of the rank-2 canonical realization ``canon`` forces.
-
-    Solved through the general triangular-equation machinery; the classical
-    sine-ratio formula is equivalent up to sign conventions.
-    """
-    canonical = canon.canonical
-    if canonical.r != 2:
-        raise ValueError("rank2_norm requires a rank-2 phirotope")
-    if not (3 < j <= canonical.n):
-        raise ValueError(f"column {j} outside (3, {canonical.n}]")
-    if not _pinned_on(canonical, canon.forest):
-        raise NotCanonicalError("phirotope is not in canonical form")
-    alpha = {(i, c): entry_phase(canonical, i, c)
-             for i in (1, 2) for c in (3, j)}
-    return _solve_entry(canonical, alpha, _tree_norms(2, canonical.n), 1, 2, j, 3)
 
 
 def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,

@@ -26,7 +26,6 @@ from phasedmatroids import (
     rephase,
     scale,
     scale_global,
-    shuffle_sign,
     to_standard_form,
 )
 from phasedmatroids.canonical import canonical_targets
@@ -63,14 +62,6 @@ def nonuniform_standard_phis(seed, count):
                                            for a in rng.uniform(0, 2 * np.pi, n))))
 
 
-def test_shuffle_sign_examples():
-    assert shuffle_sign((2, 3, 5), 7) == 1
-    assert shuffle_sign((7,), 7) == 1
-    assert shuffle_sign((1, 2), 3) == 1
-    with pytest.raises(ValueError):
-        shuffle_sign((0, 2), 3)
-
-
 def test_entry_phase_nonreal2ex(nonreal2ex_phi):
     assert entry_phase(nonreal2ex_phi, 1, 4).isclose(Phase.from_angle_over_pi(0.5))
     assert entry_phase(nonreal2ex_phi, 2, 5).isclose(Phase(0.0))
@@ -98,18 +89,24 @@ def test_minor_phase_runex(runex_phi):
 
 
 def test_minor_phase_matches_determinants():
-    from phasedmatroids import Tolerance
+    """Every k x k minor of N, k = 1..min(r, n - r), in a standard form (I|N)."""
     rng = np.random.default_rng(32)
     tol = Tolerance(1e-7)
+    shapes = []
     for _ in range(10):
         r = int(rng.integers(2, 5))
-        n = int(rng.integers(r + 2, 10))
+        shapes.append((r, int(rng.integers(r + 2, 10))))
+    sizes = set()
+    for r, n in shapes + [(4, 8)]:  # (4, 8) reaches k = 4
         m = random_standard(rng, r, n)
         phi = from_matrix(m)
-        for h in itertools.combinations(range(1, r + 1), 2):
-            for j in itertools.combinations(range(r + 1, n + 1), 2):
-                expected = phase_of(minor_det(m, h, j))
-                assert minor_phase(phi, h, j).isclose(expected, tol)
+        for k in range(1, min(r, n - r) + 1):
+            sizes.add(k)
+            for h in itertools.combinations(range(1, r + 1), k):
+                for j in itertools.combinations(range(r + 1, n + 1), k):
+                    expected = phase_of(minor_det(m, h, j))
+                    assert minor_phase(phi, h, j).isclose(expected, tol)
+    assert sizes == {1, 2, 3, 4}
 
 
 def test_associated_graph_uniform_complete():

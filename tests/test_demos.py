@@ -1,7 +1,9 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script, and the Python blocks of README.md, run to completion
+against the package in src/."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -23,3 +25,15 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run(capsys):
+    """README's Python blocks run in order in one namespace, as a reader
+    pasting them into one session would."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("Realizable\n")

@@ -5,7 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from phasedmatroids import DEFAULT_TOLERANCE, ComplexMatrix, Phase, from_matrix
+from phasedmatroids import (
+    DEFAULT_TOLERANCE,
+    ComplexMatrix,
+    InfeasibleTriangleError,
+    NotRealizable,
+    Phase,
+    Phirotope,
+    Unsupported,
+    canonicalize,
+    decide_realizability,
+    from_matrix,
+    reconstruct,
+)
 from phasedmatroids.jsonio import (
     FormatError,
     matrix_from_json,
@@ -14,6 +26,7 @@ from phasedmatroids.jsonio import (
     phase_to_json,
     phirotope_from_json,
     phirotope_to_json,
+    verdict_to_json,
 )
 
 from conftest import load_fixture
@@ -93,3 +106,42 @@ def test_runex_fixture_matches_construction(runex_matrix, fixtures_dir):
     assert m.max_distance(runex_matrix) < 1e-12
     phi = phirotope_from_json(load_fixture("runex_phirotope.json"), DEFAULT_TOLERANCE)
     assert phi.max_angular_distance(from_matrix(runex_matrix)) < 1e-12
+
+
+def test_verdict_to_json_emits_each_documented_shape(nonreal2ex_phi):
+    """Each verdict shape of docs/formats.md, section "Realizability verdict"."""
+    rng = np.random.default_rng(54)
+    m = ComplexMatrix.from_complex(rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))
+    realizable = decide_realizability(from_matrix(m))
+    doc = verdict_to_json(realizable)
+    assert set(doc) == {"verdict", "matrix", "rho", "global_phase"}
+    assert doc["verdict"] == "Realizable"
+    assert matrix_from_json(doc["matrix"]).max_distance(realizable.matrix) < 1e-12
+    assert len(doc["rho"]) == len(realizable.rho)
+    assert all(phase_from_json(p).isclose(q) for p, q in zip(doc["rho"], realizable.rho.rho))
+
+    doc = verdict_to_json(decide_realizability(nonreal2ex_phi))
+    assert set(doc) == {"verdict", "witness", "matrix"}
+    assert doc["verdict"] == "NotRealizable"
+    assert doc["witness"]["basis"] == [4, 5]
+    assert doc["witness"]["expected"]["angle_over_pi"] == pytest.approx(5 / 6)
+    assert doc["witness"]["computed"]["angle_over_pi"] == pytest.approx(11 / 12)
+
+    # canonical values whose 2x2 minor phase is antiparallel to the known side
+    values = {(1, 2): Phase(0.0), (1, 3): Phase(0.0), (1, 4): Phase(0.0),
+              (2, 3): Phase(math.pi), (2, 4): Phase.from_angle_over_pi(1.5),
+              (3, 4): Phase.from_angle_over_pi(1.5)}
+    inconsistent = Phirotope(4, 2, values, validate=False)
+    with pytest.raises(InfeasibleTriangleError) as exc:
+        reconstruct(canonicalize(inconsistent))
+    doc = verdict_to_json(NotRealizable(infeasible_equation=str(exc.value)))
+    assert doc == {"verdict": "NotRealizable", "infeasible_equation": str(exc.value)}
+    assert doc["infeasible_equation"].startswith("minor rows {1,2} cols {3,4}: ")
+
+    doc = verdict_to_json(decide_realizability(inconsistent))
+    assert doc == {"verdict": "Unsupported", "reason": "not_a_phirotope",
+                   "detail": "4 violations, first at X=(1, 2, 3), Y=(4,)"}
+    assert verdict_to_json(Unsupported("essentially_oriented")) == {
+        "verdict": "Unsupported", "reason": "essentially_oriented"}
+    with pytest.raises(TypeError):
+        verdict_to_json(realizable.matrix)

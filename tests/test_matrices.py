@@ -146,3 +146,10 @@ def test_matrix_shape_validation():
         ComplexMatrix(np.zeros((3, 2)), np.zeros((3, 2)))  # more rows than cols
     with pytest.raises(ValueError):
         ComplexMatrix(-np.ones((2, 3)), np.zeros((2, 3)))
+    for bad in (math.nan, math.inf):  # an entry, or through from_complex
+        with pytest.raises(ValueError, match="finite"):
+            ComplexMatrix(np.array([[1.0, bad]]), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            ComplexMatrix(np.ones((1, 2)), np.array([[0.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            ComplexMatrix.from_complex([[1, bad]])

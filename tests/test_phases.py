@@ -131,6 +131,11 @@ def test_triangle_equation_invariants():
         TriangleEquation(ONE, ONE, MINUS_ONE)
     with pytest.raises(ValueError):
         TriangleEquation(ONE, ONE, MINUS_ONE, s1=-2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TriangleEquation(ONE, ONE, MINUS_ONE, s1=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TriangleEquation(ONE, ONE, MINUS_ONE, s2=bad)
 
 
 @given(angles, angles, st.floats(min_value=0.1, max_value=10.0),

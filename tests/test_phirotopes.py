@@ -133,6 +133,22 @@ def test_rephase_roundtrip_closes():
     assert back.max_angular_distance(phi) < 1e-12
 
 
+def test_rephasing_is_not_indexed():
+    """Element k's phase is ``rho.rho[k - 1]``; a 1-based ``rho[k]`` would
+    silently wrap at k = 0."""
+    with pytest.raises(TypeError):
+        Rephasing.identity(3)[0]
+
+
+def test_max_angular_distance_refuses_other_shapes():
+    small = from_matrix(ComplexMatrix.from_complex([[1, 0, 1, 1j], [0, 1, 1, 2]]))
+    large = from_matrix(ComplexMatrix.from_complex([[1, 0, 1, 1j, 1], [0, 1, 1, 2, 3j]]))
+    for a, b in ((small, large), (large, small)):
+        with pytest.raises(ValueError):
+            a.max_angular_distance(b)
+        assert not a.isclose(b)
+
+
 def test_scale_global(nonreal2ex_phi):
     assert scale_global(nonreal2ex_phi, Phase(0.0)) == nonreal2ex_phi
     flipped_twice = scale_global(scale_global(nonreal2ex_phi, Phase(math.pi)), Phase(math.pi))

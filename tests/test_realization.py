@@ -25,7 +25,6 @@ from phasedmatroids import (
     decide_realizability,
     from_matrix,
     normalize_to_tree,
-    rank2_norm,
     reconstruct,
     rephase,
     scale_global,
@@ -54,11 +53,6 @@ def test_reconstruct_nonreal2ex(nonreal2ex_phi):
     assert np.abs(m.to_complex() - expected).max() < 1e-9
 
 
-def test_rank2_norms_nonreal2ex(nonreal2ex_phi):
-    assert rank2_norm(canonicalize(nonreal2ex_phi), 4) == pytest.approx(1.0, abs=1e-12)
-    assert rank2_norm(canonicalize(nonreal2ex_phi), 5) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_verify_witness_nonreal2ex(nonreal2ex_phi):
     w = verify(nonreal2ex_phi, reconstruct(canonicalize(nonreal2ex_phi)))
     assert w.basis == (4, 5)
@@ -66,7 +60,7 @@ def test_verify_witness_nonreal2ex(nonreal2ex_phi):
     assert w.computed.isclose(Phase.from_angle_over_pi(11 / 12))
 
 
-def test_reconstruct_and_rank2_norm_reject_an_unpinned_result(nonreal2ex_phi):
+def test_reconstruct_rejects_an_unpinned_result(nonreal2ex_phi):
     """A CanonicalizationResult built by hand around a phirotope that is not
     pinned on its forest is refused, as a bare non-canonical phirotope was."""
     canon = canonicalize(nonreal2ex_phi)
@@ -74,8 +68,6 @@ def test_reconstruct_and_rank2_norm_reject_an_unpinned_result(nonreal2ex_phi):
                                  scale_global(canon.canonical, Phase(1.0)), canon.forest)
     with pytest.raises(NotCanonicalError):
         reconstruct(off)
-    with pytest.raises(NotCanonicalError):
-        rank2_norm(off, 4)
 
 
 def test_verify_and_decide_answer_above_the_from_matrix_cap():
