@@ -28,38 +28,10 @@ from .errors import (
     NotCanonicalError,
     PhasedMatroidError,
     RankDeficientError,
-    SingularLeadingBlockError,
-    ZeroScalarError,
 )
-from .matrices import (
-    ComplexMatrix,
-    all_maximal_minors,
-    maximal_minor,
-    scale,
-    to_standard_form,
-)
-from .phases import (
-    DEFAULT_TOLERANCE,
-    MINUS_ONE,
-    ONE,
-    ZERO,
-    Phase,
-    Tolerance,
-    TriangleEquation,
-    circular_distance,
-    phase_of,
-    triangle_solve,
-    zero_in_hypersum,
-)
-from .phirotopes import (
-    Phirotope,
-    Rephasing,
-    from_matrix,
-    is_uniform,
-    rephase,
-    scale_global,
-    sort_with_sign,
-)
+from .matrices import ComplexMatrix
+from .phases import DEFAULT_TOLERANCE, ZERO, Phase, Tolerance, phase_of
+from .phirotopes import Phirotope, Rephasing, from_matrix, is_uniform, rephase, scale_global
 from .realization import (
     NotRealizable,
     Realizable,
@@ -74,4 +46,25 @@ from .realization import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names README, docs/formats.md, the CLI or a demo reach, and the types
+# and exceptions that those functions return or raise.
+__all__ = [
+    # canonical
+    "CanonicalizationResult", "SpanningForest", "associated_bipartite_graph",
+    "canonical_spanning_forest", "canonicalize", "entry_phase", "is_canonical",
+    "is_essentially_oriented", "minor_phase",
+    # errors
+    "DegenerateTriangleError", "DisconnectedGraphError", "EssentiallyOrientedError",
+    "FirstSubsetNotBasisError", "IndexOutOfRangeError", "InfeasibleTriangleError",
+    "InvalidPhirotopeError", "NonSpanningForestError", "NotCanonicalError",
+    "PhasedMatroidError", "RankDeficientError",
+    # matrices
+    "ComplexMatrix",
+    # phases
+    "DEFAULT_TOLERANCE", "ZERO", "Phase", "Tolerance", "phase_of",
+    # phirotopes
+    "Phirotope", "Rephasing", "from_matrix", "is_uniform", "rephase", "scale_global",
+    # realization
+    "NotRealizable", "Realizable", "RealizabilityVerdict", "Unsupported", "Witness",
+    "decide_realizability", "normalize_to_tree", "reconstruct", "verify",
+]

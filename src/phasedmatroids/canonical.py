@@ -155,21 +155,14 @@ class CanonicalizationResult:
 
 
 def _tree_targets(r: int, forest: SpanningForest) -> dict:
+    """Pinned bases with their target phases: {1..r} -> 1, and
+    {1..r}-{i}+{j} -> (-1)**(r-i) for every forest edge (i, j), which makes
+    the entry (i, j) of a standard-form realization phase 1."""
     first = tuple(range(1, r + 1))
     targets = {first: Phase(0.0)}
     for i, j in forest.edges:
         targets[first[:i - 1] + first[i:] + (j,)] = Phase(0.0 if (r - i) % 2 == 0 else math.pi)
     return targets
-
-
-def canonical_targets(phi: Phirotope) -> dict:
-    """Bases whose canonical values are pinned, with their target phases.
-
-    Covers {1..r} (target 1) and the basis {1..r}-{i}+{j} of every edge
-    (i, j) of the canonical spanning forest (target (-1)**(r-i), which makes
-    the entry (i, j) of a standard-form realization phase 1).
-    """
-    return _tree_targets(phi.r, canonical_spanning_forest(phi))
 
 
 def _pinned_on(phi: Phirotope, forest: SpanningForest) -> bool:
@@ -193,7 +186,7 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")
 
-    first_value = phi.value(range(1, r + 1))
+    first_value = phi.values[tuple(range(1, r + 1))]
     # tree edge (i, j) forces rho[j] - rho[i] = ang(phi(1..r)) - ang(entry_phase)
     deltas = [first_value.angle - entry_phase(phi, i, j).angle for (i, j) in forest.edges]
     rho_angle = tree_potentials(n, forest.edges, deltas, min(r + 1, n))
@@ -214,8 +207,8 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
 
 
 def is_canonical(phi: Phirotope) -> bool:
-    """True iff {1..r} is a basis and every pinned basis of
-    ``canonical_targets`` matches its target within ``phi.tolerance``."""
+    """True iff {1..r} is a basis and phi meets every pin of its canonical
+    spanning forest (``_tree_targets``) within ``phi.tolerance``."""
     if phi.values[tuple(range(1, phi.r + 1))].is_zero:
         return False
     return _pinned_on(phi, canonical_spanning_forest(phi))

@@ -9,14 +9,6 @@ class IndexOutOfRangeError(PhasedMatroidError, IndexError):
     """A ground-set or row index falls outside its valid range."""
 
 
-class ZeroScalarError(PhasedMatroidError, ValueError):
-    """A row or column scalar used for scaling is zero."""
-
-
-class SingularLeadingBlockError(PhasedMatroidError):
-    """The leading r x r block of a matrix is singular, so no (I|N) form exists."""
-
-
 class RankDeficientError(PhasedMatroidError):
     """A matrix has no nonzero maximal minor."""
 

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRangeError,
-    SingularLeadingBlockError,
-    ZeroScalarError,
-)
+from .errors import IndexOutOfRangeError
 from .phases import ZERO, ZERO_MAGNITUDE_CUTOFF, Phase
 
 #: Most complex entries ``all_maximal_minors`` stacks for one determinant call,
@@ -91,10 +87,6 @@ class ComplexMatrix:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexOutOfRangeError(f"entry ({i}, {j}) outside {self.rows} x {self.cols}")
 
-    def max_distance(self, other: "ComplexMatrix") -> float:
-        """Largest entrywise complex distance to another matrix."""
-        return float(np.abs(self.to_complex() - other.to_complex()).max())
-
 
 def _dets(stacked: np.ndarray) -> np.ndarray:
     """Determinants of a stack of square complex blocks, shape (k, r, r):
@@ -113,23 +105,6 @@ def _dets(stacked: np.ndarray) -> np.ndarray:
     return np.linalg.det(stacked)
 
 
-def maximal_minor(m: ComplexMatrix, columns) -> complex:
-    """Determinant of the selected columns (1-based, in the given order).
-
-    Repeated columns give 0 exactly.
-    """
-    cols = tuple(columns)
-    if len(cols) != m.rows:
-        raise ValueError(f"need exactly {m.rows} column indices, got {len(cols)}")
-    for j in cols:
-        if not (1 <= j <= m.cols):
-            raise IndexOutOfRangeError(f"column {j} outside [1, {m.cols}]")
-    if len(set(cols)) != len(cols):
-        return 0j
-    block = m.to_complex()[:, [j - 1 for j in cols]]
-    return complex(_dets(block[None])[0])
-
-
 def all_maximal_minors(m: ComplexMatrix) -> dict[tuple, complex]:
     """Determinants of all sorted r-subsets of columns, batch-computed in
     stacks of at most ``DET_STACK_ENTRIES`` entries."""
@@ -140,31 +115,3 @@ def all_maximal_minors(m: ComplexMatrix) -> dict[tuple, complex]:
     dets = itertools.chain.from_iterable(_dets(arr[:, np.asarray(subsets[k:k + step])].transpose(1, 0, 2))
                                          for k in range(0, len(subsets), step))
     return {tuple(j + 1 for j in sub): complex(d) for sub, d in zip(subsets, dets)}
-
-
-def scale(m: ComplexMatrix, row_scalars, col_scalars) -> ComplexMatrix:
-    """Multiply entry (i, j) by row_scalars[i] * col_scalars[j] (all nonzero)."""
-    rs = np.asarray(row_scalars, dtype=complex)
-    cs = np.asarray(col_scalars, dtype=complex)
-    if rs.shape != (m.rows,) or cs.shape != (m.cols,):
-        raise ValueError("need one scalar per row and per column")
-    if (np.abs(rs) < ZERO_MAGNITUDE_CUTOFF).any() or (np.abs(cs) < ZERO_MAGNITUDE_CUTOFF).any():
-        raise ZeroScalarError("row and column scalars must be nonzero")
-    norms = m.norms * np.abs(rs)[:, None] * np.abs(cs)[None, :]
-    angles = m.angles + np.angle(rs)[:, None] + np.angle(cs)[None, :]
-    return ComplexMatrix(norms, np.where(norms > 0, angles, 0.0))
-
-
-def to_standard_form(m: ComplexMatrix) -> ComplexMatrix:
-    """The unique (I|N) representative of the left GL(r) orbit of m.
-
-    Requires columns 1..r linearly independent.
-    """
-    r = m.rows
-    arr = m.to_complex()
-    lead = arr[:, :r]
-    if abs(_dets(lead[None])[0]) < ZERO_MAGNITUDE_CUTOFF:
-        raise SingularLeadingBlockError("columns 1..r are not a basis")
-    reduced = np.linalg.solve(lead, arr)
-    reduced[:, :r] = np.eye(r)
-    return ComplexMatrix.from_complex(reduced)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .errors import DegenerateTriangleError, InfeasibleTriangleError
 
 TAU = 2.0 * math.pi
 
-#: The one zero cutoff: a matrix entry, scalar or leading-block determinant of
-#: magnitude below it is zero; a maximal minor is zero below it times the
-#: largest maximal minor of its matrix (``phirotopes.minor_phases``).
+#: The one zero cutoff: a matrix entry or a ``phase_of`` scalar of magnitude
+#: below it is zero; a maximal minor is zero below it times the largest
+#: maximal minor of its matrix (``phirotopes.minor_phases``).
 ZERO_MAGNITUDE_CUTOFF = 1e-12
 
 
@@ -76,11 +76,16 @@ class Phase:
     """A point of S^1 (stored as an angle in [0, 2*pi)) or the zero phase.
 
     The zero phase is represented by ``angle=None``; use :data:`ZERO` rather
-    than constructing it by hand.  Products involving the zero phase are zero;
-    nonzero products add angles mod 2*pi.
+    than constructing it by hand.  Any other angle must lie in [0, 2*pi), so
+    NaN and infinities are refused; ``from_angle`` normalizes first.  Products
+    involving the zero phase are zero; nonzero products add angles mod 2*pi.
     """
 
     angle: Optional[float]
+
+    def __post_init__(self):
+        if self.angle is not None and not 0.0 <= self.angle < TAU:  # NaN fails too
+            raise ValueError(f"a phase angle must lie in [0, 2*pi), got {self.angle}")
 
     @property
     def is_zero(self) -> bool:
@@ -116,11 +121,6 @@ class Phase:
             return ZERO
         return Phase(_normalize(self.angle + math.pi))
 
-    def inverse(self) -> "Phase":
-        if self.angle is None:
-            raise ZeroDivisionError("zero phase has no inverse")
-        return Phase(_normalize(-self.angle))
-
     def times_sign(self, sign: int) -> "Phase":
         return self if sign >= 0 else -self
 
@@ -145,8 +145,6 @@ class Phase:
 
 
 ZERO = Phase(None)
-ONE = Phase(0.0)
-MINUS_ONE = Phase(math.pi)
 
 
 def phase_of(z: complex) -> Phase:
@@ -200,16 +198,6 @@ def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
     antip = np.zeros(rows, dtype=bool)
     antip[two] = np.abs(np.minimum(d, TAU - d) - math.pi) < eps
     return (cnt == 0) | full | antip
-
-
-def zero_in_hypersum(phases: Iterable[Phase], tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Whether some strictly positive combination of the phases is zero: the
-    one-column case of ``zero_in_hypersum_batch``.  Zero phases contribute
-    nothing; the empty set has no combination and gives False."""
-    units = [p.unit() for p in phases]
-    if not units:
-        return False
-    return bool(zero_in_hypersum_batch(np.array(units)[:, None], tol.eps)[0])
 
 
 @dataclass(frozen=True)

@@ -84,13 +84,6 @@ class Rephasing:
     def __len__(self):
         return len(self.rho)
 
-    def inverse(self) -> "Rephasing":
-        return Rephasing(tuple(p.inverse() for p in self.rho))
-
-    @classmethod
-    def identity(cls, n: int) -> "Rephasing":
-        return cls(tuple(Phase(0.0) for _ in range(n)))
-
 
 class Phirotope:
     """A rank-r phirotope on ground set [n], stored on sorted r-subsets.
@@ -122,9 +115,6 @@ class Phirotope:
             violations = self.check_gp()
             if violations:
                 raise InvalidPhirotopeError(violations)
-
-    def value(self, basis) -> Phase:
-        return self.values[tuple(sorted(basis))]
 
     def evaluate(self, indices: Sequence[int]) -> Phase:
         """Alternating evaluation on an arbitrary ordered r-tuple."""
@@ -179,11 +169,6 @@ class Phirotope:
         if not isinstance(other, Phirotope):
             return NotImplemented
         return self.n == other.n and self.r == other.r and self.values == other.values
-
-    def isclose(self, other: "Phirotope") -> bool:
-        if self.n != other.n or self.r != other.r:
-            return False
-        return self.max_angular_distance(other) < self.tolerance.eps
 
     def max_angular_distance(self, other: "Phirotope") -> float:
         """Largest circular distance between corresponding nonzero values;

@@ -1,7 +1,13 @@
-"""Independent brute-force oracles used to pin expected test values."""
+"""Independent brute-force oracles and reference constructions used to pin
+expected test values."""
+
+import math
 
 import numpy as np
 from scipy.optimize import lsq_linear
+
+from phasedmatroids import ComplexMatrix, Phase
+from phasedmatroids.phases import zero_in_hypersum_batch
 
 
 def zero_in_hypersum_bruteforce(phases, residual_threshold=1e-7):
@@ -29,6 +35,49 @@ def minor_det(m, rows, cols):
     arr = m.to_complex()
     block = arr[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
     return complex(np.linalg.det(block))
+
+
+def zero_in_hypersum(phases, eps=1e-9):
+    """The one-column call of ``zero_in_hypersum_batch``: zero phases add
+    nothing, and the empty set has no combination, so it gives False."""
+    units = [p.unit() for p in phases]
+    return bool(units) and bool(zero_in_hypersum_batch(np.array(units)[:, None], eps)[0])
+
+
+def standard_form(m):
+    """The (I|N) representative of the left GL(r) orbit of m, by
+    ``np.linalg.solve``; ValueError when columns 1..r are not a basis."""
+    r = m.rows
+    arr = m.to_complex()
+    if abs(np.linalg.det(arr[:, :r])) < 1e-12:
+        raise ValueError("columns 1..r are not a basis")
+    reduced = np.linalg.solve(arr[:, :r], arr)
+    reduced[:, :r] = np.eye(r)
+    return ComplexMatrix.from_complex(reduced)
+
+
+def scaled(m, row_scalars, col_scalars):
+    """m with entry (i, j) multiplied by row_scalars[i] * col_scalars[j]."""
+    rows = np.asarray(row_scalars, dtype=complex)[:, None]
+    cols = np.asarray(col_scalars, dtype=complex)[None, :]
+    return ComplexMatrix.from_complex(rows * m.to_complex() * cols)
+
+
+def max_entry_distance(a, b):
+    """Largest entrywise complex distance between two matrices."""
+    return float(np.abs(a.to_complex() - b.to_complex()).max())
+
+
+def canonical_pins(r, forest_edges):
+    """The values a canonical phirotope takes by definition: 1 on {1..r} and
+    (-1)**(r-i) on {1..r} - {i} + {j} for each spanning-forest edge (i, j),
+    the phirotope value that makes entry (i, j) of (I|N) a positive real."""
+    first = tuple(range(1, r + 1))
+    pins = {first: Phase(0.0)}
+    for i, j in forest_edges:
+        basis = tuple(sorted(set(first) - {i} | {j}))
+        pins[basis] = Phase(0.0 if (r - i) % 2 == 0 else math.pi)
+    return pins
 
 
 def zero_in_hypersum_row_major(units, eps):

@@ -24,18 +24,15 @@ from phasedmatroids import (
     minor_phase,
     phase_of,
     rephase,
-    scale,
     scale_global,
-    to_standard_form,
 )
-from phasedmatroids.canonical import canonical_targets
 
-from oracles import minor_det
+from oracles import canonical_pins, minor_det, scaled, standard_form
 
 
 def random_standard(rng, r, n):
     arr = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
-    return to_standard_form(ComplexMatrix.from_complex(arr))
+    return standard_form(ComplexMatrix.from_complex(arr))
 
 
 def matrix_phi(rows):
@@ -175,7 +172,8 @@ def test_canonicalize_invariants_random():
         recomposed = scale_global(rephase(phi, result.rho), result.global_phase)
         assert recomposed.max_angular_distance(result.canonical) < 1e-9
         # pinned values are exact, not merely within tolerance
-        for basis, target in canonical_targets(result.canonical).items():
+        forest = canonical_spanning_forest(result.canonical)
+        for basis, target in canonical_pins(r, forest.edges).items():
             got = result.canonical.values[basis]
             assert got.angle == target.angle
         assert is_canonical(result.canonical)
@@ -189,7 +187,7 @@ def test_is_canonical_reads_every_forest_edge(runex_phi):
     canonical = canonicalize(runex_phi).canonical
     turn = Phase.from_angle(0.7)
     rho = Rephasing((Phase(0.0), Phase(0.0), turn, Phase(0.0), turn))
-    moved = scale_global(rephase(canonical, rho), turn.inverse())
+    moved = scale_global(rephase(canonical, rho), Phase.from_angle(-0.7))
     assert moved.check_gp() == []
     for basis in [(1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 3, 4)]:  # (1, 2, 4) is zero
         assert moved.values[basis].isclose(canonical.values[basis])
@@ -242,7 +240,7 @@ def test_essential_orientability_constructed_instance():
     m = ComplexMatrix.from_complex(real.astype(complex))
     rho = [np.exp(1j * a) for a in rng.uniform(0, 2 * np.pi, 6)]
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    disguised = ComplexMatrix.from_complex(a @ scale(m, np.ones(3), rho).to_complex())
+    disguised = ComplexMatrix.from_complex(a @ scaled(m, np.ones(3), rho).to_complex())
     assert is_essentially_oriented(from_matrix(disguised))
 
 
@@ -266,7 +264,7 @@ def test_phase_tests_read_the_phirotope_tolerance():
     real = ComplexMatrix.from_complex(rng.normal(size=(3, 6)).astype(complex))
     canonical = canonicalize(from_matrix(real, Tolerance(1e-3))).canonical
     assert canonical.tolerance == Tolerance(1e-3)
-    targets = canonical_targets(canonical)
+    targets = canonical_pins(3, canonical_spanning_forest(canonical).edges)
     assert (4, 5, 6) not in targets and (1, 2, 4) in targets
     # a value 1e-4 rad off +/-1, or off its pinned target, passes at 1e-3 ...
     assert is_essentially_oriented(_rotated(canonical, (4, 5, 6), 1e-4, Tolerance(1e-3)))

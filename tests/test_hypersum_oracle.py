@@ -6,10 +6,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from phasedmatroids import Phase, zero_in_hypersum
+from phasedmatroids import Phase
 from phasedmatroids.phases import zero_in_hypersum_batch
 
-from oracles import zero_in_hypersum_bruteforce, zero_in_hypersum_row_major
+from oracles import zero_in_hypersum, zero_in_hypersum_bruteforce, zero_in_hypersum_row_major
 
 
 def random_phase_sets(rng, count, max_size=6, zero_prob=0.15):

@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 
 from phasedmatroids import (
     DEFAULT_TOLERANCE,
-    MINUS_ONE,
-    ONE,
     ZERO,
     DegenerateTriangleError,
     InfeasibleTriangleError,
     Phase,
     Tolerance,
-    TriangleEquation,
-    circular_distance,
     phase_of,
-    triangle_solve,
-    zero_in_hypersum,
 )
+from phasedmatroids.phases import TriangleEquation, circular_distance, triangle_solve
+
+from oracles import zero_in_hypersum
+
+ONE = Phase(0.0)
+MINUS_ONE = Phase(math.pi)
 
 angles = st.floats(min_value=-20.0, max_value=20.0,
                    allow_nan=False, allow_infinity=False)
@@ -47,11 +47,27 @@ def test_phase_normalization_range():
     assert p.isclose(Phase.from_angle(5 * math.pi / 3))
 
 
+def test_phase_rejects_nan_infinite_and_out_of_range_angles():
+    """A NaN angle would read as a zero phase in the GP kernel, and one
+    outside [0, 2*pi) would serialize outside the documented range."""
+    for bad in (math.nan, math.inf, -math.inf, -0.5, 2 * math.pi, 7.0):
+        with pytest.raises(ValueError):
+            Phase(bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Phase.from_angle(bad)
+        with pytest.raises(ValueError):
+            Phase.from_angle_over_pi(bad)
+    assert Phase(None).is_zero
+    assert Phase(0.0).angle == 0.0
+    assert Phase(math.nextafter(2 * math.pi, 0.0)).angle < 2 * math.pi
+
+
 def test_phase_multiplication_and_inverse():
     p = Phase.from_angle_over_pi(0.3)
     q = Phase.from_angle_over_pi(1.9)
     assert (p * q).isclose(Phase.from_angle_over_pi(0.2))
-    assert (p * p.inverse()).isclose(ONE)
+    assert (p * Phase.from_angle(-p.angle)).isclose(ONE)
     assert (p * ZERO).is_zero
     assert (-p).isclose(Phase.from_angle_over_pi(1.3))
 
