@@ -118,29 +118,18 @@ def tree_potentials(n: int, edges, deltas, root: int) -> dict:
 def canonical_spanning_forest(phi: Phirotope) -> SpanningForest:
     """Deterministic greedy spanning forest of phi's associated bipartite graph.
 
-    First the edge to the smallest incident column of each row, then a scan of
-    columns in ascending order (rows bottom-to-top within a column), adding
-    every edge that does not close a cycle.
+    A scan of columns in ascending order (rows bottom-to-top within a column)
+    adds every edge that does not close a cycle.  Each row's edge to its
+    smallest incident column is always added, since the scan reaches it while
+    the row is still isolated.  A forest on n vertices has n - |edges|
+    components.
     """
     r, n = phi.r, phi.n
     edges = associated_bipartite_graph(phi)
     uf = _UnionFind(n + 1)
-    chosen = []
-
-    def add(i, j):
-        if uf.union(i, j):
-            chosen.append((i, j))
-
-    for i in range(1, r + 1):
-        j = next((j for j in range(r + 1, n + 1) if (i, j) in edges), None)
-        if j is not None:
-            add(i, j)
-    for j in range(r + 1, n + 1):
-        for i in range(r, 0, -1):
-            if (i, j) in edges:
-                add(i, j)
-    components = len({uf.find(v) for v in range(1, n + 1)})
-    return SpanningForest(tuple(sorted(chosen)), components)
+    chosen = [(i, j) for j in range(r + 1, n + 1) for i in range(r, 0, -1)
+              if (i, j) in edges and uf.union(i, j)]
+    return SpanningForest(tuple(sorted(chosen)), n - len(chosen))
 
 
 @dataclass(frozen=True)
@@ -195,14 +184,12 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     canonical = scale_global(rephase(phi, rho), alpha)
 
     # pinned values are assigned exactly, not left to float accumulation
-    values = dict(canonical.values)
     for basis, target in _tree_targets(r, forest).items():
-        got = values[basis]
+        got = canonical.values[basis]
         if circular_distance(got.angle, target.angle) > VERIFY_TOLERANCE.eps:
             raise PhasedMatroidError(
                 f"canonicalization failed to pin basis {basis}: got {got}, want {target}")
-        values[basis] = target
-    canonical = Phirotope(n, r, values, phi.tolerance, validate=False)
+        canonical.values[basis] = target
     return CanonicalizationResult(rho, alpha, canonical, forest)
 
 

@@ -37,8 +37,8 @@ class ComplexMatrix:
         angles = np.asarray(self.angles, dtype=float)
         if norms.shape != angles.shape or norms.ndim != 2:
             raise ValueError("norms and angles must be equal-shape 2-d arrays")
-        if norms.shape[0] > norms.shape[1]:
-            raise ValueError("matrix must have at least as many columns as rows")
+        if not 1 <= norms.shape[0] <= norms.shape[1]:
+            raise ValueError("matrix must have at least one row and as many columns as rows")
         if not (np.isfinite(norms).all() and np.isfinite(angles).all()):
             raise ValueError("entry norms and angles must be finite")
         if (norms < 0).any():
@@ -63,11 +63,7 @@ class ComplexMatrix:
         """Entries of magnitude below ``ZERO_MAGNITUDE_CUTOFF`` become zero."""
         a = np.asarray(arr, dtype=complex)
         norms = np.abs(a)
-        angles = np.angle(a)
-        zero = norms < ZERO_MAGNITUDE_CUTOFF
-        norms = np.where(zero, 0.0, norms)
-        angles = np.where(zero, 0.0, angles)
-        return cls(norms, angles)
+        return cls(np.where(norms < ZERO_MAGNITUDE_CUTOFF, 0.0, norms), np.angle(a))
 
     def to_complex(self) -> np.ndarray:
         return self.norms * np.exp(1j * self.angles)
@@ -105,13 +101,12 @@ def _dets(stacked: np.ndarray) -> np.ndarray:
     return np.linalg.det(stacked)
 
 
-def all_maximal_minors(m: ComplexMatrix) -> dict[tuple, complex]:
-    """Determinants of all sorted r-subsets of columns, batch-computed in
-    stacks of at most ``DET_STACK_ENTRIES`` entries."""
+def all_maximal_minors(m: ComplexMatrix) -> np.ndarray:
+    """Determinants of all sorted r-subsets of columns, in lex order of the
+    subsets, batch-computed in stacks of at most ``DET_STACK_ENTRIES`` entries."""
     r, n = m.rows, m.cols
     arr = m.to_complex()
-    subsets = list(itertools.combinations(range(n), r))
+    subsets = np.asarray(list(itertools.combinations(range(n), r)))
     step = max(1, DET_STACK_ENTRIES // (r * r))  # stacks of shape (step, r, r), one alive at a time
-    dets = itertools.chain.from_iterable(_dets(arr[:, np.asarray(subsets[k:k + step])].transpose(1, 0, 2))
-                                         for k in range(0, len(subsets), step))
-    return {tuple(j + 1 for j in sub): complex(d) for sub, d in zip(subsets, dets)}
+    return np.concatenate([_dets(arr[:, subsets[k:k + step]].transpose(1, 0, 2))
+                           for k in range(0, len(subsets), step)])

@@ -122,8 +122,8 @@ class Phirotope:
         if len(idx) != self.r:
             raise ValueError(f"need {self.r} indices, got {len(idx)}")
         for k in idx:
-            if not (1 <= k <= self.n):
-                raise IndexOutOfRangeError(f"index {k} outside [1, {self.n}]")
+            if not (isinstance(k, (int, np.integer)) and 1 <= k <= self.n):
+                raise IndexOutOfRangeError(f"index {k!r} is not an integer in [1, {self.n}]")
         srt, sign = sort_with_sign(idx)
         if sign == 0:
             return ZERO
@@ -138,18 +138,16 @@ class Phirotope:
         pairs per kernel call, so memory does not grow with the pair count.
         """
         n, r = self.n, self.r
-        if n < r + 1:
-            return []
         units = {b: p.unit() for b, p in self.values.items()}
         xsubs = list(itertools.combinations(range(1, n + 1), r + 1))
         ysubs = list(itertools.combinations(range(1, n + 1), r - 1))
-        # ey[e, Y] = phi(e, *Y), 0 when e is in Y; row 0 is unused
+        # ey[e, Y] = phi(e, *Y), 0 when e is in Y; row 0 is unused.  When Y is
+        # the basis b without its k-th element e, phi(e, *Y) = (-1)^k phi(b).
         ey = np.zeros((n + 1, len(ysubs)), dtype=complex)
-        for iy, y in enumerate(ysubs):
-            for e in range(1, n + 1):
-                if e not in y:
-                    srt, sign = sort_with_sign((e,) + y)
-                    ey[e, iy] = sign * units[srt]
+        iy = {y: i for i, y in enumerate(ysubs)}
+        for b, u in units.items():
+            for k, e in enumerate(b):
+                ey[e, iy[b[:k] + b[k + 1:]]] = (-1) ** k * u
         # dxT[k, X] = (-1)^(k+1) phi(X minus its k-th element), k = 0..r
         dxT = np.array([[(-1) ** (k + 1) * units[x[:k] + x[k + 1:]] for x in xsubs]
                         for k in range(r + 1)])
@@ -201,14 +199,16 @@ def minor_phases(m: ComplexMatrix) -> dict[tuple, Phase]:
     """
     with np.errstate(all="ignore"):  # overflow is detected below
         minors = all_maximal_minors(m)
-    magnitudes = np.abs(list(minors.values()))
+        magnitudes = np.hypot(minors.real, minors.imag)  # as Python abs, bit for bit; np.abs is not
     if not (np.isfinite(magnitudes).all()
             and ZERO_MAGNITUDE_CUTOFF * magnitudes.max() >= np.finfo(float).tiny):
         exponent = np.frexp(m.norms.max())[1]
         minors = all_maximal_minors(ComplexMatrix(np.ldexp(m.norms, -exponent), m.angles))
-    cutoff = ZERO_MAGNITUDE_CUTOFF * max(map(abs, minors.values()))
-    return {b: ZERO if d == 0 or abs(d) < cutoff else Phase.from_angle(cmath.phase(d))
-            for b, d in minors.items()}
+        magnitudes = np.hypot(minors.real, minors.imag)
+    cutoff = ZERO_MAGNITUDE_CUTOFF * magnitudes.max()
+    bases = itertools.combinations(range(1, m.cols + 1), m.rows)
+    return {b: ZERO if d == 0 or a < cutoff else Phase.from_angle(cmath.phase(d))
+            for b, d, a in zip(bases, minors.tolist(), magnitudes.tolist())}
 
 
 def from_matrix(m: ComplexMatrix, tolerance: Tolerance = DEFAULT_TOLERANCE) -> Phirotope:

@@ -119,3 +119,35 @@ def basis_exchange_failure(bases):
                 if not any((b1 - {x}) | {y} in members for y in b2 - b1):
                     return sorted(b1), sorted(b2), x
     return None
+
+
+def two_pass_spanning_forest(r, n, edges):
+    """The canonical spanning forest by its earlier two-pass rule: first the
+    edge to the smallest incident column of each row, then a scan of columns
+    in ascending order (rows bottom-to-top) adding every edge that closes no
+    cycle.  Returns the sorted edges and the component count, counted by a
+    sweep over the roots of 1..n."""
+    parent = list(range(n + 1))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    chosen = []
+
+    def add(i, j):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            chosen.append((i, j))
+
+    for i in range(1, r + 1):
+        incident = [j for j in range(r + 1, n + 1) if (i, j) in edges]
+        if incident:
+            add(i, incident[0])
+    for j in range(r + 1, n + 1):
+        for i in range(r, 0, -1):
+            if (i, j) in edges:
+                add(i, j)
+    return tuple(sorted(chosen)), len({root(v) for v in range(1, n + 1)})

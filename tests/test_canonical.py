@@ -7,6 +7,7 @@ import pytest
 
 from phasedmatroids import (
     DEFAULT_TOLERANCE,
+    ZERO,
     ComplexMatrix,
     DisconnectedGraphError,
     Phase,
@@ -26,8 +27,10 @@ from phasedmatroids import (
     rephase,
     scale_global,
 )
+from phasedmatroids.jsonio import matrix_from_json, phirotope_from_json
 
-from oracles import canonical_pins, minor_det, scaled, standard_form
+from conftest import FIXTURES, load_fixture
+from oracles import canonical_pins, minor_det, scaled, standard_form, two_pass_spanning_forest
 
 
 def random_standard(rng, r, n):
@@ -143,6 +146,44 @@ def test_canonical_forest_rank2():
     assert set(forest.edges) == {(1, 3), (2, 3), (2, 4), (2, 5)}
 
 
+def random_zero_pattern_phis(seed, count):
+    """Phirotopes built with ``validate=False``, r = 1..6 and n = r..r+7, whose
+    bases {1..r} - {i} + {j} are zero at a random rate per phirotope; every
+    other value, {1..r} among them, is 1.  Their graphs are arbitrary
+    bipartite edge sets, connected or not."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = int(rng.integers(1, 7))
+        n = int(rng.integers(r, r + 8))
+        values = dict.fromkeys(itertools.combinations(range(1, n + 1), r), Phase(0.0))
+        first = tuple(range(1, r + 1))
+        rate = rng.random()
+        for i, j in itertools.product(first, range(r + 1, n + 1)):
+            if rng.random() < rate:
+                values[first[:i - 1] + first[i:] + (j,)] = ZERO
+        yield Phirotope(n, r, values, validate=False)
+
+
+def fixture_phis():
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = load_fixture(path.name)
+        yield (from_matrix(matrix_from_json(doc)) if "entries" in doc
+               else phirotope_from_json(doc, DEFAULT_TOLERANCE))
+
+
+def test_canonical_forest_matches_the_two_pass_rule():
+    """The one-scan forest equals the earlier rule that first added each
+    row's smallest-column edge, and its component count, n - |edges|, equals
+    a count of union-find roots."""
+    counts = set()
+    for phi in itertools.chain(random_zero_pattern_phis(41, 2000), fixture_phis()):
+        forest = canonical_spanning_forest(phi)
+        reference = two_pass_spanning_forest(phi.r, phi.n, associated_bipartite_graph(phi))
+        assert (forest.edges, forest.component_count) == reference
+        counts.add(min(forest.component_count, 2))
+    assert counts == {1, 2}
+
+
 def test_forest_edge_count_property():
     rng = np.random.default_rng(33)
     for _ in range(20):
@@ -194,6 +235,13 @@ def test_is_canonical_reads_every_forest_edge(runex_phi):
     assert entry_phase(moved, 2, 5).isclose(Phase.from_angle(0.7))
     assert is_canonical(canonical)
     assert not is_canonical(moved)
+
+
+def test_is_canonical_is_false_when_the_first_subset_is_not_a_basis():
+    """Columns 1 and 2 are parallel, so {1, 2} is not a basis."""
+    phi = matrix_phi([[1, 2, 0], [1, 2, 1]])
+    assert phi.values[(1, 2)].is_zero
+    assert not is_canonical(phi)
 
 
 def test_canonical_forest_edges_are_exactly_phase_one():

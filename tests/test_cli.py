@@ -212,6 +212,18 @@ def test_edge_inputs_exit_cleanly(tmp_path, capsys, command, doc, code, result):
         assert report["result"] == result
 
 
+@pytest.mark.parametrize("command", ["validate", "canonicalize", "orient-check", "realize", "tree"])
+def test_all_null_phirotope_exits_2(tmp_path, capsys, command):
+    """A document whose values are all null names no phirotope; the
+    constructor's ValueError becomes the exit-2 error report."""
+    doc = {"n": 3, "r": 2, "values": [{"basis": list(b), "phase": None}
+                                      for b in ((1, 2), (1, 3), (2, 3))]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert invoke(capsys, command, "--input", str(path)) == (
+        2, {"error": "a phirotope is not identically zero"})
+
+
 def test_huge_count_with_short_values_exits_2_quickly(tmp_path):
     """C(1e8, 5e7) takes minutes to compute; a list shorter than n is short
     without it.  Run in a subprocess so that a regression fails, not hangs."""

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from phasedmatroids import ComplexMatrix, from_matrix
+from phasedmatroids import ComplexMatrix, IndexOutOfRangeError, from_matrix
 from phasedmatroids.matrices import _dets, all_maximal_minors
 
 from oracles import max_entry_distance, minor_det, scaled, standard_form
@@ -18,17 +18,24 @@ def random_matrix(rng, r, n):
     return ComplexMatrix.from_complex(rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))
 
 
+def minor(m, cols):
+    """The maximal minor on 1-based ``cols``, read from ``all_maximal_minors``
+    at the lex position of ``cols``."""
+    lex = list(itertools.combinations(range(1, m.cols + 1), m.rows))
+    return all_maximal_minors(m)[lex.index(tuple(cols))]
+
+
 def test_runex_minor_vanishes(runex_matrix):
-    assert abs(all_maximal_minors(runex_matrix)[(1, 2, 4)]) < 1e-12
+    assert abs(minor(runex_matrix, (1, 2, 4))) < 1e-12
 
 
 def test_identity_columns_minor(runex_matrix):
-    assert all_maximal_minors(runex_matrix)[(1, 2, 3)] == pytest.approx(1.0)
+    assert minor(runex_matrix, (1, 2, 3)) == pytest.approx(1.0)
 
 
 def test_runex_minor_135(runex_matrix):
     expected = -(4 / 3) * cmath.exp(1j * math.pi / 4)
-    assert all_maximal_minors(runex_matrix)[(1, 3, 5)] == pytest.approx(expected)
+    assert minor(runex_matrix, (1, 3, 5)) == pytest.approx(expected)
 
 
 def test_scale_reconstructs_runex(runex_matrix):
@@ -88,8 +95,8 @@ def test_det_multiplicative():
         m = random_matrix(rng, r, r + 2)
         a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
         cols = tuple(range(1, r + 1))
-        lhs = all_maximal_minors(ComplexMatrix.from_complex(a @ m.to_complex()))[cols]
-        rhs = np.linalg.det(a) * all_maximal_minors(m)[cols]
+        lhs = minor(ComplexMatrix.from_complex(a @ m.to_complex()), cols)
+        rhs = np.linalg.det(a) * minor(m, cols)
         assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
 
@@ -98,7 +105,7 @@ def test_all_maximal_minors_matches_single():
     for r, n in ((1, 4), (2, 5), (3, 6), (4, 7)):
         m = random_matrix(rng, r, n)
         batch = all_maximal_minors(m)
-        for cols, d in batch.items():
+        for cols, d in zip(itertools.combinations(range(1, n + 1), r), batch, strict=True):
             assert d == pytest.approx(minor_det(m, range(1, r + 1), cols), abs=1e-10)
 
 
@@ -108,7 +115,7 @@ def test_all_maximal_minors_stacks_in_blocks_with_the_same_bits():
     m = random_matrix(np.random.default_rng(18), 5, 16)
     subsets = list(itertools.combinations(range(16), 5))
     whole = _dets(m.to_complex()[:, np.asarray(subsets)].transpose(1, 0, 2))
-    assert list(all_maximal_minors(m).values()) == [complex(d) for d in whole]
+    assert all_maximal_minors(m).tolist() == [complex(d) for d in whole]
 
 
 def test_polar_roundtrip():
@@ -124,6 +131,8 @@ def test_polar_roundtrip():
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         ComplexMatrix(np.zeros((3, 2)), np.zeros((3, 2)))  # more rows than cols
+    with pytest.raises(ValueError, match="equal-shape"):
+        ComplexMatrix(np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         ComplexMatrix(-np.ones((2, 3)), np.zeros((2, 3)))
     for bad in (math.nan, math.inf):  # an entry, or through from_complex
@@ -133,3 +142,19 @@ def test_matrix_shape_validation():
             ComplexMatrix(np.ones((1, 2)), np.array([[0.0, bad]]))
         with pytest.raises(ValueError, match="finite"):
             ComplexMatrix.from_complex([[1, bad]])
+
+
+def test_matrix_with_no_rows_is_refused():
+    """A (0, n) or (0, 0) matrix has no maximal minor; from_matrix would
+    divide by r * r = 0."""
+    for shape in ((0, 3), (0, 0)):
+        with pytest.raises(ValueError, match="at least one row"):
+            ComplexMatrix(np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ValueError, match="at least one row"):
+            ComplexMatrix.from_complex(np.zeros(shape, dtype=complex))
+
+
+def test_entry_norm_outside_the_matrix(runex_matrix):
+    for i, j in ((0, 1), (4, 1), (1, 6)):
+        with pytest.raises(IndexOutOfRangeError):
+            runex_matrix.entry_norm(i, j)

@@ -70,6 +70,12 @@ def test_phase_multiplication_and_inverse():
     assert (p * Phase.from_angle(-p.angle)).isclose(ONE)
     assert (p * ZERO).is_zero
     assert (-p).isclose(Phase.from_angle_over_pi(1.3))
+    assert (-ZERO).is_zero
+
+
+def test_zero_phase_has_no_angle_over_pi():
+    with pytest.raises(ValueError, match="no angle"):
+        ZERO.angle_over_pi
 
 
 def test_tolerance_bounds():
@@ -138,6 +144,12 @@ def test_triangle_degenerate_directions():
     with pytest.raises(DegenerateTriangleError):
         triangle_solve(TriangleEquation(Phase.from_angle_over_pi(0.5), ONE,
                                         MINUS_ONE, s1=1.0))
+
+
+def test_triangle_equation_refuses_zero_phases():
+    for gamma, alpha, beta in ((ZERO, ONE, MINUS_ONE), (ONE, ZERO, MINUS_ONE), (ONE, MINUS_ONE, ZERO)):
+        with pytest.raises(ValueError, match="nonzero"):
+            TriangleEquation(gamma, alpha, beta, s1=1.0)
 
 
 def test_triangle_equation_invariants():

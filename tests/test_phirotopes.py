@@ -19,6 +19,7 @@ from phasedmatroids import (
     Rephasing,
     from_matrix,
     is_uniform,
+    minor_phase,
     phase_of,
     rephase,
     scale_global,
@@ -48,6 +49,19 @@ def test_eval_alternation(nonreal2ex_phi):
     assert phi.evaluate((4, 2)).isclose(Phase.from_angle_over_pi(0.5))
     with pytest.raises(IndexOutOfRangeError):
         phi.evaluate((0, 3))
+    with pytest.raises(ValueError, match="need 2 indices"):
+        phi.evaluate((1, 2, 3))
+
+
+def test_evaluate_refuses_indices_that_are_not_integers(nonreal2ex_phi, runex_phi):
+    """A float or a string index is refused like an out-of-range one, not
+    with a bare KeyError or TypeError; numpy integers are integers."""
+    for bad in ((1.5, 2), (2.0, 1), ("1", 2)):
+        with pytest.raises(IndexOutOfRangeError):
+            nonreal2ex_phi.evaluate(bad)
+    with pytest.raises(IndexOutOfRangeError):
+        minor_phase(runex_phi, (1,), (3.5,))
+    assert nonreal2ex_phi.evaluate((np.int64(4), np.int32(2))) == nonreal2ex_phi.evaluate((4, 2))
 
 
 def test_not_identically_zero():
@@ -58,6 +72,12 @@ def test_not_identically_zero():
 def test_missing_basis_rejected():
     with pytest.raises(ValueError):
         Phirotope(3, 2, {(1, 2): Phase(0.0)})
+
+
+def test_rank_outside_one_to_n_rejected():
+    for n, r in ((2, 3), (2, 0)):
+        with pytest.raises(ValueError, match="rank"):
+            Phirotope(n, r, {})
 
 
 def test_gp_violation_detected():
@@ -140,6 +160,13 @@ def test_rephasing_is_not_indexed():
         Rephasing((Phase(0.0),) * 3)[0]
 
 
+def test_rephasing_refuses_zero_and_wrong_lengths(nonreal2ex_phi):
+    with pytest.raises(ValueError, match="nonzero"):
+        Rephasing((Phase(0.0), Phase(None)))
+    with pytest.raises(ValueError, match="length"):
+        rephase(nonreal2ex_phi, Rephasing((Phase(0.0),) * 4))
+
+
 def test_max_angular_distance_refuses_other_shapes():
     small = from_matrix(ComplexMatrix.from_complex([[1, 0, 1, 1j], [0, 1, 1, 2]]))
     large = from_matrix(ComplexMatrix.from_complex([[1, 0, 1, 1j, 1], [0, 1, 1, 2, 3j]]))
@@ -148,8 +175,25 @@ def test_max_angular_distance_refuses_other_shapes():
             a.max_angular_distance(b)
 
 
+def test_max_angular_distance_is_infinite_on_a_zero_mismatch(runex_phi):
+    """runex has the zero value (1, 2, 4); filling it in makes the distance
+    infinite, however close the other values are."""
+    values = dict(runex_phi.values)
+    values[(1, 2, 4)] = Phase(0.0)
+    filled = Phirotope(5, 3, values, validate=False)
+    assert filled.max_angular_distance(runex_phi) == math.inf
+    assert runex_phi.max_angular_distance(filled) == math.inf
+
+
+def test_phirotope_equality_with_other_types(nonreal2ex_phi):
+    assert nonreal2ex_phi.__eq__(1) is NotImplemented
+    assert nonreal2ex_phi != "nonreal2ex"
+
+
 def test_scale_global(nonreal2ex_phi):
     assert scale_global(nonreal2ex_phi, Phase(0.0)) == nonreal2ex_phi
+    with pytest.raises(ValueError, match="nonzero"):
+        scale_global(nonreal2ex_phi, Phase(None))
     flipped_twice = scale_global(scale_global(nonreal2ex_phi, Phase(math.pi)), Phase(math.pi))
     assert flipped_twice.max_angular_distance(nonreal2ex_phi) < 1e-12
 

@@ -236,6 +236,20 @@ def test_normalize_to_tree_rejects_bad_forests():
     cyclic = SpanningForest(((1, 3), (2, 3), (1, 4), (2, 4)), 1)
     with pytest.raises(NonSpanningForestError):
         normalize_to_tree(m, cyclic, [1.0] * 4)
+    for edges in (((3, 4), (1, 3)), ((1, 2), (1, 3)), ((1, 5), (1, 3))):
+        with pytest.raises(NonSpanningForestError, match="not row-column"):
+            normalize_to_tree(m, SpanningForest(edges, 2), [1.0, 1.0])
+    sparse = ComplexMatrix.from_complex(np.array([[1, 0, 0, 2], [0, 1, 3, 4]], dtype=complex))
+    with pytest.raises(NonSpanningForestError, match="zero entry"):
+        normalize_to_tree(sparse, SpanningForest(((1, 3), (2, 3), (2, 4)), 1), [1.0] * 3)
+
+
+def test_verify_refuses_a_matrix_of_another_shape(runex_matrix, runex_phi, nonreal2ex_phi):
+    """runex is rank 3 on 5 elements, nonreal2ex rank 2 on 5."""
+    wider = ComplexMatrix.from_complex(np.hstack([runex_matrix.to_complex(), np.ones((3, 1))]))
+    for phi, m in ((nonreal2ex_phi, runex_matrix), (runex_phi, wider)):
+        with pytest.raises(ValueError, match="dimensions"):
+            verify(phi, m)
 
 
 def test_uniqueness_of_canonical_point():
