@@ -12,9 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DisconnectedGraphError, FirstSubsetNotBasisError, PhasedMatroidError
+from .errors import (
+    DisconnectedGraphError,
+    FirstSubsetNotBasisError,
+    IndexOutOfRangeError,
+    PhasedMatroidError,
+)
 from .phases import VERIFY_TOLERANCE, Phase, circular_distance
-from .phirotopes import Phirotope, Rephasing, rephase, scale_global
+from .phirotopes import Phirotope, Rephasing, _is_integer, rephase, scale_global
 
 
 def entry_phase(phi: Phirotope, i: int, j: int) -> Phase:
@@ -31,6 +36,8 @@ def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
     columns of J: that r x r minor of (I|N) is the k x k minor of N, so
     ``Phirotope.evaluate`` gives its phase with the sign of sorting the tuple.
     """
+    if not all(_is_integer(k) for k in (*row_subset, *col_subset)):
+        raise IndexOutOfRangeError(f"minor indices must be integers: {row_subset}, {col_subset}")
     rows, cols = sorted(row_subset), sorted(col_subset)
     r, n = phi.r, phi.n
     if not (len(set(rows)) == len(rows) == len(set(cols)) == len(cols)

@@ -154,37 +154,34 @@ def phase_of(z: complex) -> Phase:
     return Phase(_normalize(cmath.phase(z)))
 
 
-def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
-    """Zero membership of the hypersum, for each column of a complex array.
+def zero_in_hypersum_batch(angles: np.ndarray, eps: float) -> np.ndarray:
+    """Zero membership of the hypersum, for each column of an angle array.
 
-    ``units`` has shape (m, rows): column j holds the m phases of set j, each
-    a unit complex number or 0.  Zero entries contribute nothing, and a column
-    of zeros sums to zero.  Zero is in the hypersum when the largest angular
-    gap between the nonzero phases is below pi - eps (they do not fit in a
-    closed half-circle), or when gaps above eps split them into exactly two
-    clusters whose first angles are antipodal within eps.  Returns a boolean
-    array of length rows.  Used by the Grassmann-Pluecker checker, where every
-    column is the term multiset of one (X, Y) pair.  Every operation runs
-    along the long axis, over the m short rows; the sort is an odd-even
-    transposition network of exact minimum/maximum steps, so it gives the
-    same values as ``np.sort``.
+    ``angles`` has shape (m, rows): column j holds the m phases of set j, each
+    an angle in [0, 2*pi) or NaN for the zero phase; the array is overwritten.
+    Zero entries contribute nothing, and a column of zeros sums to zero.  Zero
+    is in the hypersum when the largest angular gap between the nonzero phases
+    is below pi - eps (they do not fit in a closed half-circle), or when gaps
+    above eps split them into exactly two clusters whose first angles are
+    antipodal within eps.  Returns a boolean array of length rows.  Used by
+    the Grassmann-Pluecker checker, where every column is the term multiset of
+    one (X, Y) pair.  Every operation runs along the long axis, over the m
+    short rows; the sort is an odd-even transposition network of exact
+    minimum/maximum steps, so it gives the same values as ``np.sort``.
     """
-    m, rows = units.shape
-    nz = np.abs(units) > 0.5
-    cnt = nz.sum(axis=0)
-    ang = np.angle(units)
-    ang += TAU * (ang < 0)  # np.mod(ang, TAU) bit for bit, several times faster
-    # zeros sort last, then repeat the last nonzero phase: the gaps after it are 0
-    ang[~nz] = TAU
+    m, rows = angles.shape
+    largest = np.fmax.reduce(angles, axis=0)  # NaN only for a column of zeros
+    # zeros repeat the largest nonzero phase, so they sort last and the gaps
+    # after it are 0; a column of zeros holds 2*pi
+    ang = np.fmin(angles, np.fmin(largest, TAU), out=angles)
     low = np.empty(rows)
     for step in range(m):
         for i in range(step % 2, m - 1, 2):
             np.minimum(ang[i], ang[i + 1], out=low)
             np.maximum(ang[i], ang[i + 1], out=ang[i + 1])
             ang[i] = low
-    np.minimum(ang, np.take_along_axis(ang, np.maximum(cnt - 1, 0)[None, :], axis=0), out=ang)
     gaps = np.empty((m, rows))
-    gaps[:-1] = np.diff(ang, axis=0)
+    np.subtract(ang[1:], ang[:-1], out=gaps[:-1])
     gaps[-1] = TAU - (ang[-1] - ang[0])  # wrap-around gap
     full = gaps.max(axis=0) < math.pi - eps
     # remaining sets fit in a closed half-circle: zero is present only for an
@@ -197,7 +194,7 @@ def zero_in_hypersum_batch(units: np.ndarray, eps: float) -> np.ndarray:
     d = np.abs(other - a[0])
     antip = np.zeros(rows, dtype=bool)
     antip[two] = np.abs(np.minimum(d, TAU - d) - math.pi) < eps
-    return (cnt == 0) | full | antip
+    return np.isnan(largest) | full | antip
 
 
 @dataclass(frozen=True)

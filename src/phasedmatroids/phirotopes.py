@@ -29,6 +29,7 @@ from .errors import (
 from .matrices import ComplexMatrix, all_maximal_minors
 from .phases import (
     DEFAULT_TOLERANCE,
+    TAU,
     ZERO,
     ZERO_MAGNITUDE_CUTOFF,
     Phase,
@@ -39,11 +40,17 @@ from .phases import (
 
 #: (X, Y) pairs per kernel call of ``Phirotope.check_gp``.  The sweep holds one
 #: block of terms at a time, so its memory is bounded by (r+1) times this.
-GP_BLOCK_COLUMNS = 2**16
+GP_BLOCK_COLUMNS = 2**14
 
 #: Most values ``from_matrix`` computes: its C(n, r) values can far outgrow the
 #: matrix it reads, while a phirotope input already lists its values.
 MAX_MATRIX_MINORS = 2**16
+
+
+def _is_integer(k) -> bool:
+    """Whether k can index the ground set: a Python or numpy integer, and not
+    a bool, which is an int to isinstance."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 def sort_with_sign(indices: Sequence[int]):
@@ -66,6 +73,15 @@ def sort_with_sign(indices: Sequence[int]):
         if a == b:
             return tuple(items), 0
     return tuple(items), (-1) ** (inversions % 2)
+
+
+def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Position of each sorted s-subset of [n], along the last axis of
+    ``subsets``, in the order of ``itertools.combinations(range(1, n + 1), s)``:
+    C(n, s) - 1 - sum_i C(n - c_i, s - i + 1), with 1-based c_i and i."""
+    s = subsets.shape[-1]
+    binom = np.array([[math.comb(a, b) for b in range(s + 1)] for a in range(n + 1)])
+    return binom[n, s] - 1 - binom[n - subsets, np.arange(s, 0, -1)].sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,7 @@ class Phirotope:
         if len(idx) != self.r:
             raise ValueError(f"need {self.r} indices, got {len(idx)}")
         for k in idx:
-            if not (isinstance(k, (int, np.integer)) and 1 <= k <= self.n):
+            if not (_is_integer(k) and 1 <= k <= self.n):
                 raise IndexOutOfRangeError(f"index {k!r} is not an integer in [1, {self.n}]")
         srt, sign = sort_with_sign(idx)
         if sign == 0:
@@ -135,33 +151,42 @@ class Phirotope:
         X ranges over sorted (r+1)-subsets and Y over sorted (r-1)-subsets of
         [n]; the result is lexicographically sorted and empty iff the map is a
         valid phirotope.  X is swept in lex order, about ``GP_BLOCK_COLUMNS``
-        pairs per kernel call, so memory does not grow with the pair count.
+        pairs per kernel call, and each block's X side is built on its own,
+        so memory does not grow with the pair count.  A term's angle is the
+        sum of two stored angles, each with its sign folded in as +-pi; NaN
+        stands for a zero value and carries through the sums.
         """
         n, r = self.n, self.r
-        units = {b: p.unit() for b, p in self.values.items()}
-        xsubs = list(itertools.combinations(range(1, n + 1), r + 1))
-        ysubs = list(itertools.combinations(range(1, n + 1), r - 1))
-        # ey[e, Y] = phi(e, *Y), 0 when e is in Y; row 0 is unused.  When Y is
-        # the basis b without its k-th element e, phi(e, *Y) = (-1)^k phi(b).
-        ey = np.zeros((n + 1, len(ysubs)), dtype=complex)
-        iy = {y: i for i, y in enumerate(ysubs)}
-        for b, u in units.items():
-            for k, e in enumerate(b):
-                ey[e, iy[b[:k] + b[k + 1:]]] = (-1) ** k * u
-        # dxT[k, X] = (-1)^(k+1) phi(X minus its k-th element), k = 0..r
-        dxT = np.array([[(-1) ** (k + 1) * units[x[:k] + x[k + 1:]] for x in xsubs]
-                        for k in range(r + 1)])
-        xarr = np.asarray(xsubs).T
+        ground = range(1, n + 1)
+        ang = np.array([math.nan if p.is_zero else p.angle for p in self.values.values()])
+        neg = ang + math.pi  # the angles of -phi, in [0, 2*pi) like ang
+        neg -= TAU * (neg >= TAU)
+        # ey[e, Y] = angle of phi(e, *Y), NaN when e is in Y; row 0 is unused.
+        # When Y is the basis b without its k-th element e, phi(e, *Y) = (-1)^k phi(b).
+        ysubs = list(itertools.combinations(ground, r - 1))
+        ny = len(ysubs)
+        bases = np.array(list(itertools.combinations(ground, r)))
+        ey = np.full((n + 1, ny), math.nan)
+        for k in range(r):
+            ey[bases[:, k], _lex_rank(np.delete(bases, k, axis=1), n)] = neg if k % 2 else ang
         # X in blocks of about GP_BLOCK_COLUMNS pairs; terms[k, X, Y] in C order,
         # so that a block is an (r+1, pairs) kernel input without a copy
-        ny = len(ysubs)
+        drop = [[j for j in range(r + 1) if j != k] for k in range(r + 1)]
+        xsubs = itertools.combinations(ground, r + 1)
         step = max(1, GP_BLOCK_COLUMNS // ny)
         bad = []
-        for s in range(0, len(xsubs), step):
-            terms = np.multiply(dxT[:, s:s + step, None], ey[xarr[:, s:s + step]], order="C")
+        while block := list(itertools.islice(xsubs, step)):
+            xs = np.array(block)
+            rank = _lex_rank(xs[:, drop], n)  # rank[X, k]: X minus its k-th element
+            terms = np.empty((r + 1, len(block), ny))
+            for k in range(r + 1):
+                # the term's sign (-1)^(k+1) goes with phi(X minus x_k)
+                dx = (neg if k % 2 == 0 else ang)[rank[:, k]]
+                np.add(dx[:, None], ey[xs[:, k]], out=terms[k])
+            terms -= TAU * (terms >= TAU)
             ok = zero_in_hypersum_batch(terms.reshape(r + 1, -1), self.tolerance.eps)
-            bad.extend((s * ny + np.flatnonzero(~ok)).tolist())
-        return [(xsubs[i // ny], ysubs[i % ny]) for i in bad]
+            bad.extend((block[i // ny], ysubs[i % ny]) for i in np.flatnonzero(~ok).tolist())
+        return bad
 
     def __eq__(self, other):
         if not isinstance(other, Phirotope):

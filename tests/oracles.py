@@ -37,11 +37,22 @@ def minor_det(m, rows, cols):
     return complex(np.linalg.det(block))
 
 
+def angles_of(units):
+    """The kernel input of an array of unit complex numbers and zeros: the
+    angle in [0, 2*pi), from ``np.angle`` plus 2*pi where negative, and NaN
+    where the magnitude is at most 0.5 (a zero phase)."""
+    units = np.asarray(units)
+    ang = np.angle(units)
+    ang += 2.0 * np.pi * (ang < 0)
+    ang[np.abs(units) <= 0.5] = np.nan
+    return ang
+
+
 def zero_in_hypersum(phases, eps=1e-9):
     """The one-column call of ``zero_in_hypersum_batch``: zero phases add
     nothing, and the empty set has no combination, so it gives False."""
     units = [p.unit() for p in phases]
-    return bool(units) and bool(zero_in_hypersum_batch(np.array(units)[:, None], eps)[0])
+    return bool(units) and bool(zero_in_hypersum_batch(angles_of(np.array(units)[:, None]), eps)[0])
 
 
 def standard_form(m):

@@ -9,7 +9,7 @@ import pytest
 from phasedmatroids import Phase
 from phasedmatroids.phases import zero_in_hypersum_batch
 
-from oracles import zero_in_hypersum, zero_in_hypersum_bruteforce, zero_in_hypersum_row_major
+from oracles import angles_of, zero_in_hypersum, zero_in_hypersum_bruteforce, zero_in_hypersum_row_major
 
 
 def random_phase_sets(rng, count, max_size=6, zero_prob=0.15):
@@ -42,7 +42,7 @@ def test_batch_matches_scalar():
     for i, phases in enumerate(sets):
         for j, p in enumerate(phases):
             units[i, j] = p.unit()
-    batch = zero_in_hypersum_batch(units.T, 1e-9)
+    batch = zero_in_hypersum_batch(angles_of(units.T), 1e-9)
     for i, phases in enumerate(sets):
         assert batch[i] == zero_in_hypersum_bruteforce(phases), phases
 
@@ -71,7 +71,7 @@ BOUNDARY_BITS = {
 
 @pytest.mark.parametrize("eps", sorted(BOUNDARY_BITS))
 def test_boundary_bits_are_pinned(eps):
-    bits = zero_in_hypersum_batch(_boundary_batch(eps).T, eps)
+    bits = zero_in_hypersum_batch(angles_of(_boundary_batch(eps).T), eps)
     assert hashlib.sha256(np.packbits(bits).tobytes()).hexdigest() == BOUNDARY_BITS[eps]
 
 
@@ -82,5 +82,21 @@ def test_column_major_kernel_matches_row_major_bits(m, eps):
     bits of the row-major kernel that sorted each row with ndarray.sort."""
     units = _boundary_batch(eps, rows=2000, m=m, seed=100 + m)
     expected = zero_in_hypersum_row_major(units, eps)
-    assert np.array_equal(zero_in_hypersum_batch(np.ascontiguousarray(units.T), eps), expected)
+    assert np.array_equal(zero_in_hypersum_batch(angles_of(np.ascontiguousarray(units.T)), eps), expected)
     assert 0 < expected.sum() < len(expected)
+
+
+
+def test_angle_input_cases_are_pinned():
+    """NaN is the zero phase: a column of zeros holds, a single nonzero term
+    does not, an exact antipodal pair holds whatever zeros surround it, and
+    {0, pi/2, pi} does not, because pi/2 would need a zero coefficient."""
+    nan, pi = np.nan, np.pi
+    columns = [
+        ([nan, nan, nan, nan], True),
+        ([nan, 1.0, nan, nan], False),
+        ([nan, pi / 4, nan, pi / 4 + pi], True),
+        ([0.0, nan, pi / 2, pi], False),
+    ]
+    angles = np.array([c for c, _ in columns]).T
+    assert zero_in_hypersum_batch(angles, 1e-9).tolist() == [e for _, e in columns]

@@ -28,10 +28,10 @@ from phasedmatroids import (
 from phasedmatroids import phirotopes
 from phasedmatroids.jsonio import matrix_from_json
 from phasedmatroids.phases import zero_in_hypersum_batch
-from phasedmatroids.phirotopes import sort_with_sign
+from phasedmatroids.phirotopes import _lex_rank, sort_with_sign
 
 from conftest import load_fixture
-from oracles import basis_exchange_failure, scaled
+from oracles import angles_of, basis_exchange_failure, scaled
 
 
 def test_sort_with_sign():
@@ -54,13 +54,15 @@ def test_eval_alternation(nonreal2ex_phi):
 
 
 def test_evaluate_refuses_indices_that_are_not_integers(nonreal2ex_phi, runex_phi):
-    """A float or a string index is refused like an out-of-range one, not
-    with a bare KeyError or TypeError; numpy integers are integers."""
-    for bad in ((1.5, 2), (2.0, 1), ("1", 2)):
+    """A float, a string or a bool index is refused like an out-of-range one,
+    not with a bare KeyError or TypeError, nor read as 1 or 0; numpy integers
+    are integers."""
+    for bad in ((1.5, 2), (2.0, 1), ("1", 2), (True, 2), (2, False), (np.True_, 2)):
         with pytest.raises(IndexOutOfRangeError):
             nonreal2ex_phi.evaluate(bad)
-    with pytest.raises(IndexOutOfRangeError):
-        minor_phase(runex_phi, (1,), (3.5,))
+    for rows, cols in (((1,), (3.5,)), ((True,), (5,)), ((1.0,), (5,)), ((1, 2), (4, True))):
+        with pytest.raises(IndexOutOfRangeError):
+            minor_phase(runex_phi, rows, cols)
     assert nonreal2ex_phi.evaluate((np.int64(4), np.int32(2))) == nonreal2ex_phi.evaluate((4, 2))
 
 
@@ -332,7 +334,7 @@ def _gp_oracle(phi):
             rows.append(np.array(first) * np.array(second))
     if not rows:
         return []
-    ok = zero_in_hypersum_batch(np.array(rows).T, phi.tolerance.eps)
+    ok = zero_in_hypersum_batch(angles_of(np.array(rows).T), phi.tolerance.eps)
     return [pair for pair, good in zip(pairs, ok) if not good]
 
 
@@ -393,11 +395,19 @@ def _gp_peak_bytes(r, n):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_lex_rank_is_the_position_in_combinations(n):
+    for r in range(1, n + 1):
+        subsets = list(itertools.combinations(range(1, n + 1), r))
+        ranks = _lex_rank(np.array(subsets), n)
+        assert ranks.tolist() == list(range(len(subsets))), (n, r)
+
+
 def test_check_gp_memory_is_bounded_by_the_block():
     """The sweep holds one block of terms at a time: its peak allocation is a
-    small multiple of one (r+1) x GP_BLOCK_COLUMNS complex block, and does not
-    grow with the number of (X, Y) pairs (457 380 at (5, 12), 3 006 003 at
-    (5, 14))."""
+    small multiple of one block of (r+1) x GP_BLOCK_COLUMNS float64 term
+    angles (the bound below counts 16 bytes a term), and does not grow with
+    the number of (X, Y) pairs (457 380 at (5, 12), 3 006 003 at (5, 14))."""
     block_bytes = 6 * phirotopes.GP_BLOCK_COLUMNS * 16
     small, large = _gp_peak_bytes(5, 12), _gp_peak_bytes(5, 14)
     assert large < 4 * block_bytes
