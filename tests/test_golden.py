@@ -5,9 +5,13 @@ the realizable rank-3 pair.  The inputs in ``golden_inputs/`` cover the
 negative and error paths: a GP-invalid phirotope, a matrix that does not
 realize its phirotope, {1..r} not a basis, an all-zero matrix, a disconnected
 n = r = 2 phirotope and an out-of-range ``--tol``; they are not in
-``fixtures/``, which holds valid inputs only.  A refactor that should keep the
-output bytes must keep these hashes.  Provenance hashes the input file's
-bytes, not its path, so the recorded hashes do not depend on where the
+``fixtures/``, which holds valid inputs only.  Every fixture has r <= 3, so
+``golden_inputs/`` also holds matrix-born uniform inputs at (4, 8) and (5, 9),
+where minors go through LAPACK: the complex Gaussian matrix of
+``np.random.default_rng(r)`` (real parts drawn first), its phirotope, and a
+copy with the last value rotated by 1e-3 radians.  A refactor that should
+keep the output bytes must keep these hashes.  Provenance hashes the input
+file's bytes, not its path, so the recorded hashes do not depend on where the
 repository lives.
 
 Regenerate the data (only when an output is meant to change) with
@@ -40,6 +44,14 @@ NEGATIVE_CASES = [
     ("two_element_rank2_phirotope.json", ["realize"], "default", []),
     ("gp_invalid_phirotope.json", ["validate"], "tol-1.0", ["--tol", "1.0"]),
 ]
+#: The same for the r >= 4 inputs, at the default flags
+HIGH_RANK_CASES = [
+    (f"rank{r}_n{n}_{kind}.json", commands, "default", [])
+    for r, n in ((4, 8), (5, 9))
+    for kind, commands in (("matrix", ["from-matrix"]),
+                           ("phirotope", ["realize", "canonicalize"]),
+                           ("rotated_phirotope", ["realize", "canonicalize"]))
+] + [("rank4_n8_rotated_verify_pair.json", ["verify"], "default", [])]
 
 
 def _cases():
@@ -50,7 +62,7 @@ def _cases():
             for flag_id, flags in FLAGS.items():
                 yield f"{command}:{path.name}:{flag_id}", path, [command], flags
     yield f"verify:{VERIFY_PAIR[0]}+{VERIFY_PAIR[1]}:default", None, ["verify"], []
-    for name, commands, flag_id, flags in NEGATIVE_CASES:
+    for name, commands, flag_id, flags in NEGATIVE_CASES + HIGH_RANK_CASES:
         for command in commands:
             yield f"{command}:{name}:{flag_id}", GOLDEN_INPUTS / name, [command], flags
 
@@ -75,7 +87,7 @@ CASES = list(_cases())
 
 
 def test_golden_covers_every_case():
-    assert len(CASES) == 101
+    assert len(CASES) == 112
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(c[0] for c in CASES)
 
 
