@@ -18,8 +18,9 @@ from .errors import (
     IndexOutOfRangeError,
     PhasedMatroidError,
 )
+from .matrices import _is_integer
 from .phases import VERIFY_TOLERANCE, Phase, circular_distance
-from .phirotopes import Phirotope, Rephasing, _is_integer, rephase, scale_global
+from .phirotopes import Phirotope, Rephasing, rephase, scale_global
 
 
 def entry_phase(phi: Phirotope, i: int, j: int) -> Phase:

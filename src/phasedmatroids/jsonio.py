@@ -16,7 +16,7 @@ import numpy as np
 
 from .canonical import CanonicalizationResult, SpanningForest
 from .errors import PhasedMatroidError
-from .matrices import ComplexMatrix
+from .matrices import ComplexMatrix, _is_integer
 from .phases import Phase, Tolerance
 from .phirotopes import Phirotope, Rephasing
 from .realization import (
@@ -54,12 +54,6 @@ def _angle(x: Any, name: str) -> float:
     return angle
 
 
-def _integer(x: Any) -> bool:
-    """Whether x is a JSON integer; Python's json reads true and false as
-    bools, which are ints to isinstance, and both are refused."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def phase_from_json(obj: Any) -> Phase:
     if obj is None:
         return Phase(None)
@@ -90,7 +84,7 @@ def matrix_from_json(obj: Any) -> ComplexMatrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"matrix is missing field {exc}") from exc
-    if not (_integer(rows) and _integer(cols) and 1 <= rows <= cols):
+    if not (_is_integer(rows) and _is_integer(cols) and 1 <= rows <= cols):
         raise FormatError("matrix rows/cols must be integers with 1 <= rows <= cols")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(f"expected {rows} entry rows")
@@ -131,7 +125,7 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
         n, r, items = obj["n"], obj["r"], obj["values"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"phirotope is missing field {exc}") from exc
-    if not (_integer(n) and _integer(r) and 1 <= r <= n):
+    if not (_is_integer(n) and _is_integer(r) and 1 <= r <= n):
         raise FormatError("need integers 1 <= r <= n")
     if not isinstance(items, list):
         raise FormatError("values must be a list")
@@ -141,7 +135,7 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
             raise FormatError(f"bad value record: {item!r}")
         basis = item["basis"]
         if (not isinstance(basis, list) or len(basis) != r
-                or not all(map(_integer, basis))
+                or not all(map(_is_integer, basis))
                 or sorted(basis) != basis or len(set(basis)) != r
                 or basis[0] < 1 or basis[-1] > n):
             raise FormatError(f"bad basis {basis!r}: need a sorted {r}-subset of [1, {n}]")

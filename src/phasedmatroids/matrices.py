@@ -21,6 +21,13 @@ from .phases import ZERO, ZERO_MAGNITUDE_CUTOFF, Phase
 DET_STACK_ENTRIES = 2**16
 
 
+def _is_integer(k) -> bool:
+    """Whether k can be an index or a JSON count: a numpy integer, or a Python
+    int that is not a bool (an int to isinstance, and how Python's json reads
+    true and false).  Python ints are tested first: JSON parsing tests each."""
+    return isinstance(k, int) and not isinstance(k, bool) or isinstance(k, np.integer)
+
+
 @dataclass(frozen=True)
 class ComplexMatrix:
     """A dense r x n complex matrix in (norm, phase) form, r <= n.
@@ -80,8 +87,8 @@ class ComplexMatrix:
         return float(self.norms[i - 1, j - 1])
 
     def _check_index(self, i: int, j: int):
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexOutOfRangeError(f"entry ({i}, {j}) outside {self.rows} x {self.cols}")
+        if not (_is_integer(i) and _is_integer(j) and 1 <= i <= self.rows and 1 <= j <= self.cols):
+            raise IndexOutOfRangeError(f"entry ({i!r}, {j!r}) outside {self.rows} x {self.cols}")
 
 
 def _dets(stacked: np.ndarray) -> np.ndarray:

@@ -105,12 +105,6 @@ class Phase:
             raise ValueError("zero phase has no angle")
         return self.angle / math.pi
 
-    def unit(self) -> complex:
-        """The phase as a complex number (0 for the zero phase)."""
-        if self.angle is None:
-            return 0j
-        return cmath.exp(1j * self.angle)
-
     def __mul__(self, other: "Phase") -> "Phase":
         if self.angle is None or other.angle is None:
             return ZERO
@@ -120,9 +114,6 @@ class Phase:
         if self.angle is None:
             return ZERO
         return Phase(_normalize(self.angle + math.pi))
-
-    def times_sign(self, sign: int) -> "Phase":
-        return self if sign >= 0 else -self
 
     def isclose(self, other: "Phase", tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         if self.is_zero or other.is_zero:
@@ -197,68 +188,53 @@ def zero_in_hypersum_batch(angles: np.ndarray, eps: float) -> np.ndarray:
     return np.isnan(largest) | full | antip
 
 
-@dataclass(frozen=True)
-class TriangleEquation:
-    """gamma = ph(s1*alpha - s2*beta) with exactly one of s1, s2 unknown.
+def triangle_solve(gamma: Phase, alpha: Phase, beta: Phase,
+                   s1: Optional[float] = None, s2: Optional[float] = None,
+                   tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+    """The unknown positive norm of the triangular equation
+    gamma = ph(s1*alpha - s2*beta): s1 or s2, whichever is ``None``.
 
-    All three phases are nonzero and alpha != +/-beta; the known side is a
-    positive finite real, the unknown side is ``None``.
-    """
-
-    gamma: Phase
-    alpha: Phase
-    beta: Phase
-    s1: Optional[float] = None
-    s2: Optional[float] = None
-
-    def __post_init__(self):
-        if self.gamma.is_zero or self.alpha.is_zero or self.beta.is_zero:
-            raise ValueError("triangular equations need nonzero phases")
-        if (self.s1 is None) == (self.s2 is None):
-            raise ValueError("exactly one of s1, s2 must be unknown")
-        known = self.s1 if self.s1 is not None else self.s2
-        if not 0.0 < known < math.inf:  # NaN fails both comparisons
-            raise ValueError("the known side must be positive and finite")
-
-
-def triangle_solve(eq: TriangleEquation, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Solve a triangular equation for its unknown positive norm.
-
-    Returns ``(solved_unknown, residual_norm)`` where the residual norm is the
-    positive t with s1*alpha - s2*beta = t*gamma.  The 2x2 real linear system
-    in (unknown, t) is solved by direct elimination; no trigonometric closed
-    form is used.
+    The three phases must be nonzero and the known side a positive finite
+    real, else ``ValueError``.  With t the positive norm such that
+    s1*alpha - s2*beta = t*gamma, the 2x2 real linear system in (unknown, t)
+    is solved by direct elimination; no trigonometric closed form is used.
 
     Raises :class:`DegenerateTriangleError` when alpha = +/-beta (the equation
     violates its own invariant) and :class:`InfeasibleTriangleError` when no
     strictly positive solution exists, including the singular limits
     gamma = +/-beta (unknown s2) and gamma = +/-alpha (unknown s1).
     """
-    a, b, g = eq.alpha.angle, eq.beta.angle, eq.gamma.angle
+    if gamma.is_zero or alpha.is_zero or beta.is_zero:
+        raise ValueError("triangular equations need nonzero phases")
+    if (s1 is None) == (s2 is None):
+        raise ValueError("exactly one of s1, s2 must be unknown")
+    known = s1 if s1 is not None else s2
+    if not 0.0 < known < math.inf:  # NaN fails both comparisons
+        raise ValueError("the known side must be positive and finite")
+    a, b, g = alpha.angle, beta.angle, gamma.angle
     if circular_distance(a, b) < tol.eps or circular_distance(a + math.pi, b) < tol.eps:
         raise DegenerateTriangleError("alpha = +/-beta")
     ua = (math.cos(a), math.sin(a))
     ub = (math.cos(b), math.sin(b))
     ug = (math.cos(g), math.sin(g))
-    if eq.s2 is None:
+    if s2 is None:
         # s1*ua = s2*ub + t*ug: columns (ub, ug), rhs s1*ua
-        c1, c2, rhs, scale = ub, ug, ua, eq.s1
+        c1, c2, rhs = ub, ug, ua
     else:
         # s2*ub = s1*ua - t*ug: columns (ua, -ug), rhs s2*ub
-        c1, c2, rhs, scale = ua, (-ug[0], -ug[1]), ub, eq.s2
+        c1, c2, rhs = ua, (-ug[0], -ug[1]), ub
     det = c1[0] * c2[1] - c1[1] * c2[0]
     if abs(det) < tol.eps:
         raise InfeasibleTriangleError(
             "gamma is (anti)parallel to the known side: no positive solution")
-    rx, ry = scale * rhs[0], scale * rhs[1]
+    rx, ry = known * rhs[0], known * rhs[1]
     s = (rx * c2[1] - ry * c2[0]) / det
     t = (c1[0] * ry - c1[1] * rx) / det
     if s <= 0.0 or t <= 0.0:
         raise InfeasibleTriangleError(f"solved norms not positive: s={s:.6g}, t={t:.6g}")
-    s1 = eq.s1 if eq.s1 is not None else s
-    s2 = eq.s2 if eq.s2 is not None else s
+    s1, s2 = (s, s2) if s1 is None else (s1, s)
     check = s1 * complex(ua[0], ua[1]) - s2 * complex(ub[0], ub[1])
     resid = circular_distance(cmath.phase(check), g)
     if resid > 10 * tol.eps and resid > TRIANGLE_RESIDUAL_FLOOR:
         raise InfeasibleTriangleError(f"solution fails phase check (residual {resid:.3g})")
-    return s, t
+    return s

@@ -26,7 +26,7 @@ from .errors import (
     PhasedMatroidError,
     RankDeficientError,
 )
-from .matrices import ComplexMatrix, all_maximal_minors
+from .matrices import ComplexMatrix, _is_integer, all_maximal_minors
 from .phases import (
     DEFAULT_TOLERANCE,
     TAU,
@@ -45,12 +45,6 @@ GP_BLOCK_COLUMNS = 2**14
 #: Most values ``from_matrix`` computes: its C(n, r) values can far outgrow the
 #: matrix it reads, while a phirotope input already lists its values.
 MAX_MATRIX_MINORS = 2**16
-
-
-def _is_integer(k) -> bool:
-    """Whether k can index the ground set: a Python or numpy integer, and not
-    a bool, which is an int to isinstance."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 def sort_with_sign(indices: Sequence[int]):
@@ -124,6 +118,9 @@ class Phirotope:
             if b not in values:
                 raise ValueError(f"missing value for basis {b}")
             vals[b] = values[b]
+        if len(values) != len(vals):
+            key = next(k for k in values if k not in vals)
+            raise ValueError(f"key {key!r} is not a sorted {rank}-subset of [1, {ground_size}]")
         self.values = vals
         if all(p.is_zero for p in vals.values()):
             raise ValueError("a phirotope is not identically zero")
@@ -143,7 +140,8 @@ class Phirotope:
         srt, sign = sort_with_sign(idx)
         if sign == 0:
             return ZERO
-        return self.values[srt].times_sign(sign)
+        p = self.values[srt]
+        return p if sign > 0 else -p
 
     def check_gp(self):
         """All (X, Y) pairs violating the Grassmann-Pluecker relations.

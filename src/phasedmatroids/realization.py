@@ -37,7 +37,7 @@ from .errors import (
     PhasedMatroidError,
 )
 from .matrices import ComplexMatrix
-from .phases import VERIFY_TOLERANCE, Phase, TriangleEquation, triangle_solve
+from .phases import VERIFY_TOLERANCE, Phase, triangle_solve
 from .phirotopes import Phirotope, Rephasing, is_uniform, minor_phases
 
 ESSENTIALLY_ORIENTED = "essentially_oriented"
@@ -89,15 +89,14 @@ def _solve_entry(phi, alpha, norms, i, m, j, k):
     gamma = minor_phase(phi, (a, b), (c, d))
     phase1 = alpha[(a, c)] * alpha[(b, d)]
     phase2 = alpha[(a, d)] * alpha[(b, c)]
-    in_first = (i, j) in ((a, c), (b, d))
-    if in_first:
+    if (i, j) in ((a, c), (b, d)):
         cofactor = bd if (i, j) == (a, c) else ac
-        eq = TriangleEquation(gamma, phase1, phase2, s1=None, s2=ad * bc)
+        s1, s2 = None, ad * bc
     else:
         cofactor = bc if (i, j) == (a, d) else ad
-        eq = TriangleEquation(gamma, phase1, phase2, s1=ac * bd, s2=None)
+        s1, s2 = ac * bd, None
     try:
-        solved, _ = triangle_solve(eq, phi.tolerance)
+        solved = triangle_solve(gamma, phase1, phase2, s1, s2, phi.tolerance)
     except InfeasibleTriangleError as exc:
         raise InfeasibleTriangleError(
             f"minor rows {{{a},{b}}} cols {{{c},{d}}}: {exc}") from exc
@@ -230,8 +229,9 @@ def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,
     """Rescale a standard-form matrix so each forest edge carries a prescribed norm.
 
     Row and column scalars are positive reals propagated along the forest, so
-    all phases are unchanged and the standard form is preserved.  The result
-    is the unique such scaling-equivalent matrix.
+    all phases are unchanged and the standard form is preserved.  The forest
+    must span the bipartite graph of m's nonzero entries (i, j), i <= r < j;
+    the result is then the unique such scaling-equivalent matrix.
     """
     r, n = m.rows, m.cols
     values = list(values)
@@ -256,5 +256,7 @@ def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,
     norms = m.norms.copy()
     for i in range(1, r + 1):
         for j in range(r + 1, n + 1):
+            if norms[i - 1, j - 1] != 0.0 and uf.find(i) != uf.find(j):
+                raise NonSpanningForestError(f"entry ({i}, {j}) joins two components of the forest")
             norms[i - 1, j - 1] *= math.exp(q[j] - q[i])
     return ComplexMatrix(norms, m.angles)

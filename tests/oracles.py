@@ -1,6 +1,7 @@
 """Independent brute-force oracles and reference constructions used to pin
 expected test values."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,11 @@ from scipy.optimize import lsq_linear
 
 from phasedmatroids import ComplexMatrix, Phase
 from phasedmatroids.phases import zero_in_hypersum_batch
+
+
+def unit(p):
+    """A phase as a complex number, 0 for the zero phase."""
+    return 0j if p.is_zero else cmath.exp(1j * p.angle)
 
 
 def zero_in_hypersum_bruteforce(phases, residual_threshold=1e-7):
@@ -20,7 +26,7 @@ def zero_in_hypersum_bruteforce(phases, residual_threshold=1e-7):
     summing to (numerical) zero.  Zero phases contribute nothing and are
     dropped; a nonempty all-zero set trivially sums to zero.
     """
-    units = [p.unit() for p in phases if not p.is_zero]
+    units = [unit(p) for p in phases if not p.is_zero]
     if not units:
         return len(list(phases)) > 0
     if len(units) == 1:
@@ -51,7 +57,7 @@ def angles_of(units):
 def zero_in_hypersum(phases, eps=1e-9):
     """The one-column call of ``zero_in_hypersum_batch``: zero phases add
     nothing, and the empty set has no combination, so it gives False."""
-    units = [p.unit() for p in phases]
+    units = [unit(p) for p in phases]
     return bool(units) and bool(zero_in_hypersum_batch(angles_of(np.array(units)[:, None]), eps)[0])
 
 

@@ -155,6 +155,13 @@ def test_matrix_with_no_rows_is_refused():
 
 
 def test_entry_norm_outside_the_matrix(runex_matrix):
-    for i, j in ((0, 1), (4, 1), (1, 6)):
-        with pytest.raises(IndexOutOfRangeError):
-            runex_matrix.entry_norm(i, j)
+    """A bool, float or string index is refused like an out-of-range one, not
+    read as row 1 nor met with a bare IndexError or TypeError; numpy integers
+    are integers."""
+    for i, j in ((0, 1), (4, 1), (1, 6), (True, 1), (1, True), (np.True_, 1),
+                 (1.5, 1), (1, 1.5), ("1", 1), (1, "1")):
+        for read in (runex_matrix.entry_norm, runex_matrix.entry_phase):
+            with pytest.raises(IndexOutOfRangeError):
+                read(i, j)
+    assert runex_matrix.entry_norm(np.int64(2), np.int32(3)) == runex_matrix.entry_norm(2, 3)
+    assert runex_matrix.entry_phase(np.int64(2), np.int32(3)) == runex_matrix.entry_phase(2, 3)

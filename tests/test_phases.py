@@ -16,9 +16,9 @@ from phasedmatroids import (
     Tolerance,
     phase_of,
 )
-from phasedmatroids.phases import TriangleEquation, circular_distance, triangle_solve
+from phasedmatroids.phases import circular_distance, triangle_solve
 
-from oracles import zero_in_hypersum
+from oracles import unit, zero_in_hypersum
 
 ONE = Phase(0.0)
 MINUS_ONE = Phase(math.pi)
@@ -111,59 +111,52 @@ def test_hypersum_order_and_multiplicity_insensitive(raw, rnd):
 
 def test_triangle_nonreal2ex_entry_norms():
     # 1 - e^{i pi/2} has phase 7pi/4; the unknown side has norm 1
-    eq = TriangleEquation(Phase.from_angle_over_pi(1.75), ONE,
-                          Phase.from_angle_over_pi(0.5), s1=1.0)
-    s2, t = triangle_solve(eq)
+    s2 = triangle_solve(Phase.from_angle_over_pi(1.75), ONE, Phase.from_angle_over_pi(0.5), s1=1.0)
     assert math.isclose(s2, 1.0, abs_tol=1e-12)
-    eq = TriangleEquation(Phase.from_angle_over_pi(5 / 3), ONE,
-                          Phase.from_angle_over_pi(1 / 3), s1=1.0)
-    s2, _ = triangle_solve(eq)
+    s2 = triangle_solve(Phase.from_angle_over_pi(5 / 3), ONE, Phase.from_angle_over_pi(1 / 3), s1=1.0)
     assert math.isclose(s2, 1.0, abs_tol=1e-12)
 
 
 def test_triangle_singular_is_infeasible():
     # gamma antiparallel to the unknown side: no positive solution exists
-    eq = TriangleEquation(Phase.from_angle_over_pi(1.5), ONE,
-                          Phase.from_angle_over_pi(0.5), s1=1.0)
     with pytest.raises(InfeasibleTriangleError):
-        triangle_solve(eq)
+        triangle_solve(Phase.from_angle_over_pi(1.5), ONE, Phase.from_angle_over_pi(0.5), s1=1.0)
 
 
 def test_triangle_negative_solution_is_infeasible():
     # gamma inside the cone spanned by +alpha and +beta cannot equal
     # ph(s1*alpha - s2*beta)
-    eq = TriangleEquation(Phase.from_angle_over_pi(0.25), ONE,
-                          Phase.from_angle_over_pi(0.5), s1=1.0)
     with pytest.raises(InfeasibleTriangleError):
-        triangle_solve(eq)
+        triangle_solve(Phase.from_angle_over_pi(0.25), ONE, Phase.from_angle_over_pi(0.5), s1=1.0)
 
 
 def test_triangle_degenerate_directions():
     with pytest.raises(DegenerateTriangleError):
-        triangle_solve(TriangleEquation(Phase.from_angle_over_pi(0.5), ONE, ONE, s1=1.0))
+        triangle_solve(Phase.from_angle_over_pi(0.5), ONE, ONE, s1=1.0)
     with pytest.raises(DegenerateTriangleError):
-        triangle_solve(TriangleEquation(Phase.from_angle_over_pi(0.5), ONE,
-                                        MINUS_ONE, s1=1.0))
+        triangle_solve(Phase.from_angle_over_pi(0.5), ONE, MINUS_ONE, s1=1.0)
 
 
 def test_triangle_equation_refuses_zero_phases():
     for gamma, alpha, beta in ((ZERO, ONE, MINUS_ONE), (ONE, ZERO, MINUS_ONE), (ONE, MINUS_ONE, ZERO)):
         with pytest.raises(ValueError, match="nonzero"):
-            TriangleEquation(gamma, alpha, beta, s1=1.0)
+            triangle_solve(gamma, alpha, beta, s1=1.0)
 
 
 def test_triangle_equation_invariants():
-    with pytest.raises(ValueError):
-        TriangleEquation(ONE, ONE, MINUS_ONE, s1=1.0, s2=1.0)
-    with pytest.raises(ValueError):
-        TriangleEquation(ONE, ONE, MINUS_ONE)
-    with pytest.raises(ValueError):
-        TriangleEquation(ONE, ONE, MINUS_ONE, s1=-2.0)
+    """Exactly one side is unknown and the known one is positive and finite;
+    these are checked before the degenerate alpha = -beta is."""
+    with pytest.raises(ValueError, match="exactly one"):
+        triangle_solve(ONE, ONE, MINUS_ONE, s1=1.0, s2=1.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        triangle_solve(ONE, ONE, MINUS_ONE)
+    with pytest.raises(ValueError, match="positive"):
+        triangle_solve(ONE, ONE, MINUS_ONE, s1=-2.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            TriangleEquation(ONE, ONE, MINUS_ONE, s1=bad)
+            triangle_solve(ONE, ONE, MINUS_ONE, s1=bad)
         with pytest.raises(ValueError, match="finite"):
-            TriangleEquation(ONE, ONE, MINUS_ONE, s2=bad)
+            triangle_solve(ONE, ONE, MINUS_ONE, s2=bad)
 
 
 @given(angles, angles, st.floats(min_value=0.1, max_value=10.0),
@@ -175,13 +168,12 @@ def test_triangle_roundtrip_and_determinism(a, b, s1, s2):
         return
     if circular_distance(alpha.angle + math.pi, beta.angle) < 1e-3:
         return
-    z = s1 * alpha.unit() - s2 * beta.unit()
+    z = s1 * unit(alpha) - s2 * unit(beta)
     gamma = phase_of(z)
     if gamma.is_zero:
         return
-    eq = TriangleEquation(gamma, alpha, beta, s1=s1)
-    got, t = triangle_solve(eq)
-    resid = s1 * alpha.unit() - got * beta.unit()
+    got = triangle_solve(gamma, alpha, beta, s1=s1)
+    resid = s1 * unit(alpha) - got * unit(beta)
     assert circular_distance(cmath.phase(resid), gamma.angle) < 10 * DEFAULT_TOLERANCE.eps + 1e-7
-    again = triangle_solve(eq)
-    assert again == (got, t)  # bit-for-bit deterministic
+    again = triangle_solve(gamma, alpha, beta, s1=s1)
+    assert again == got  # bit-for-bit deterministic

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from phasedmatroids.phases import zero_in_hypersum_batch
 from phasedmatroids.phirotopes import _lex_rank, sort_with_sign
 
 from conftest import load_fixture
-from oracles import angles_of, basis_exchange_failure, scaled
+from oracles import angles_of, basis_exchange_failure, scaled, unit
 
 
 def test_sort_with_sign():
@@ -74,6 +75,15 @@ def test_not_identically_zero():
 def test_missing_basis_rejected():
     with pytest.raises(ValueError):
         Phirotope(3, 2, {(1, 2): Phase(0.0)})
+
+
+def test_unexpected_key_rejected():
+    """A key that is not a sorted r-subset of [n] is refused by name, not
+    dropped: (3, 1) would otherwise hide a value that conflicts with (1, 3)."""
+    values = {(1, 2): Phase(0.0), (1, 3): Phase(0.0), (2, 3): Phase(0.0)}
+    for key in ((3, 1), (7, 9), "x", (1, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"key {key!r}")):
+            Phirotope(3, 2, {**values, key: Phase(1.0)})
 
 
 def test_rank_outside_one_to_n_rejected():
@@ -141,7 +151,7 @@ def test_rephase_matches_column_scaling():
     rng = np.random.default_rng(22)
     m = ComplexMatrix.from_complex(rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6)))
     rho = Rephasing(tuple(Phase.from_angle(a) for a in rng.uniform(0, 2 * np.pi, 6)))
-    moved = from_matrix(scaled(m, np.ones(3), [p.unit() for p in rho.rho]))
+    moved = from_matrix(scaled(m, np.ones(3), [unit(p) for p in rho.rho]))
     assert moved.max_angular_distance(rephase(from_matrix(m), rho)) < moved.tolerance.eps
 
 
@@ -327,9 +337,9 @@ def _gp_oracle(phi):
         for y in itertools.combinations(ground, phi.r - 1):
             first, second = [], []
             for k, xk in enumerate(x):
-                first.append((-1) ** (k + 1) * phi.values[x[:k] + x[k + 1:]].unit())
+                first.append((-1) ** (k + 1) * unit(phi.values[x[:k] + x[k + 1:]]))
                 srt, sign = sort_with_sign((xk,) + y)
-                second.append(0j if sign == 0 else sign * phi.values[srt].unit())
+                second.append(0j if sign == 0 else sign * unit(phi.values[srt]))
             pairs.append((x, y))
             rows.append(np.array(first) * np.array(second))
     if not rows:

@@ -38,7 +38,7 @@ from phasedmatroids.cli import run
 from phasedmatroids.realization import ESSENTIALLY_ORIENTED, NOT_A_PHIROTOPE, NOT_UNIFORM
 
 from conftest import FIXTURES
-from oracles import max_entry_distance, standard_form
+from oracles import max_entry_distance, standard_form, unit
 
 
 def canonical_of(matrix):
@@ -242,6 +242,14 @@ def test_normalize_to_tree_rejects_bad_forests():
     sparse = ComplexMatrix.from_complex(np.array([[1, 0, 0, 2], [0, 1, 3, 4]], dtype=complex))
     with pytest.raises(NonSpanningForestError, match="zero entry"):
         normalize_to_tree(sparse, SpanningForest(((1, 3), (2, 3), (2, 4)), 1), [1.0] * 3)
+    # a forest that leaves a nonzero entry between two of its components does
+    # not fix the scaling; on a disconnected support, one per component does
+    for edges in ((), ((1, 3),), ((1, 3), (2, 3))):
+        with pytest.raises(NonSpanningForestError, match="joins two components"):
+            normalize_to_tree(m, SpanningForest(edges, 4 - len(edges)), [1.0] * len(edges))
+    split = ComplexMatrix.from_complex(np.array([[1, 0, 2, 0], [0, 1, 0, 3]], dtype=complex))
+    scaled = normalize_to_tree(split, SpanningForest(((1, 3), (2, 4)), 2), [1.0, 1.0])
+    assert scaled.entry_norm(2, 4) == 1.0
 
 
 def test_verify_refuses_a_matrix_of_another_shape(runex_matrix, runex_phi, nonreal2ex_phi):
@@ -265,7 +273,7 @@ def test_uniqueness_of_canonical_point():
         result = canonicalize(phi)
         # rescale the original realization by the rephasing, restandardize,
         # then normalize the tree entries to 1
-        rho_units = np.array([p.unit() for p in result.rho.rho])
+        rho_units = np.array([unit(p) for p in result.rho.rho])
         rephased = ComplexMatrix.from_complex(arr * rho_units[None, :])
         std = standard_form(rephased)
         forest = canonical_spanning_forest(result.canonical)
