@@ -1,6 +1,8 @@
 """Each demo script, and the Python blocks of README.md, run to completion
-against the package in src/."""
+against the package in src/; each demo prints the same bytes as when its
+hash was pinned."""
 
+import hashlib
 import os
 import pathlib
 import re
@@ -11,6 +13,14 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+#: sha256 of each demo's stdout; the demos are seeded, so any change in a
+#: printed digit is a change in the library's numbers.
+STDOUT_SHA256 = {
+    "demo_canonicalization": "cf5db2c8ffeb82b41f06e6e21456de73c8043df472b3ca776d5fa4a4ccf68ac6",
+    "demo_nonrealizable": "089b9f1c94da1b7d3a588fc15413a896617c3427fb0a77ae56756dfa4c52244b",
+    "demo_realization_space": "66b953b475a43d56b73d105fef1689ab01913e8ff4fd81b294fc8073ea2fe728",
+}
 
 
 def test_demos_found():
@@ -25,6 +35,7 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.stem], proc.stdout
 
 
 def test_readme_python_blocks_run(capsys):
