@@ -33,7 +33,7 @@ print("\nspanning tree edges (one positive weight each):", forest.edges)
 
 for trial in range(3):
     weights = rng.uniform(0.2, 3.0, size=len(forest.edges))
-    other = normalize_to_tree(canonical_matrix, forest, weights)
+    other = normalize_to_tree(canonical_matrix, weights)
     same_phases = from_matrix(other).max_angular_distance(
         from_matrix(canonical_matrix))
     print(f"\nweights {np.round(weights, 3)}")

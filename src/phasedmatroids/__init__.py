@@ -24,7 +24,6 @@ from .errors import (
     IndexOutOfRangeError,
     InfeasibleTriangleError,
     InvalidPhirotopeError,
-    NonSpanningForestError,
     NotCanonicalError,
     PhasedMatroidError,
     RankDeficientError,
@@ -56,8 +55,8 @@ __all__ = [
     # errors
     "DegenerateTriangleError", "DisconnectedGraphError", "EssentiallyOrientedError",
     "FirstSubsetNotBasisError", "IndexOutOfRangeError", "InfeasibleTriangleError",
-    "InvalidPhirotopeError", "NonSpanningForestError", "NotCanonicalError",
-    "PhasedMatroidError", "RankDeficientError",
+    "InvalidPhirotopeError", "NotCanonicalError", "PhasedMatroidError",
+    "RankDeficientError",
     # matrices
     "ComplexMatrix",
     # phases

@@ -123,8 +123,9 @@ def tree_potentials(n: int, edges, deltas, root: int) -> dict:
     return potential
 
 
-def canonical_spanning_forest(phi: Phirotope) -> SpanningForest:
-    """Deterministic greedy spanning forest of phi's associated bipartite graph.
+def _scan_forest(r: int, n: int, edges) -> SpanningForest:
+    """Deterministic greedy spanning forest of the bipartite graph on rows
+    1..r and columns r+1..n whose edges (i, j) are the members of ``edges``.
 
     A scan of columns in ascending order (rows bottom-to-top within a column)
     adds every edge that does not close a cycle.  Each row's edge to its
@@ -132,12 +133,15 @@ def canonical_spanning_forest(phi: Phirotope) -> SpanningForest:
     the row is still isolated.  A forest on n vertices has n - |edges|
     components.
     """
-    r, n = phi.r, phi.n
-    edges = associated_bipartite_graph(phi)
     uf = _UnionFind(n + 1)
     chosen = [(i, j) for j in range(r + 1, n + 1) for i in range(r, 0, -1)
               if (i, j) in edges and uf.union(i, j)]
     return SpanningForest(tuple(sorted(chosen)), n - len(chosen))
+
+
+def canonical_spanning_forest(phi: Phirotope) -> SpanningForest:
+    """The greedy scan forest (``_scan_forest``) of phi's associated bipartite graph."""
+    return _scan_forest(phi.r, phi.n, associated_bipartite_graph(phi))
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,6 @@ class EssentiallyOrientedError(PhasedMatroidError):
     """Reconstruction requires a non-real anchor entry, but none exists."""
 
 
-class NonSpanningForestError(PhasedMatroidError, ValueError):
-    """The supplied edge set does not form a spanning forest."""
-
-
 class InvalidPhirotopeError(PhasedMatroidError):
     """Construction-time Grassmann-Pluecker validation failed."""
 

@@ -143,14 +143,6 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
         if key in values:
             raise FormatError(f"basis {basis} appears twice")
         values[key] = phase_from_json(item["phase"])
-    # C(n, r) >= n for 1 <= r < n, so a list shorter than n is short without
-    # computing C(n, r), which takes minutes for n in the hundreds of millions
-    short = len(values) < n and r < n
-    expected = f"C({n}, {r})" if short else math.comb(n, r)
-    if short or len(values) != expected:
-        raise FormatError(
-            f"expected {expected} values, got {len(values)}: "
-            "every sorted r-subset must appear exactly once")
     try:
         return Phirotope(n, r, values, tolerance, validate=validate)
     except ValueError as exc:

@@ -113,6 +113,11 @@ class Phirotope:
         self.n = ground_size
         self.r = rank
         self.tolerance = tolerance
+        # C(n, r) >= n for r < n: a shorter mapping is refused before listing a
+        # subset or computing C(n, r), which take minutes for n in the millions
+        if len(values) < (ground_size if rank < ground_size else 1):
+            raise ValueError(f"expected C({ground_size}, {rank}) values, got {len(values)}: "
+                             "every sorted r-subset must appear exactly once")
         vals = {}  # in lex order of the bases
         for b in itertools.combinations(range(1, ground_size + 1), rank):
             if b not in values:

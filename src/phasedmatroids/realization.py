@@ -19,8 +19,7 @@ import numpy as np
 
 from .canonical import (
     CanonicalizationResult,
-    SpanningForest,
-    _UnionFind,
+    _scan_forest,
     canonicalize,
     entry_phase,
     is_real_valued,
@@ -32,7 +31,6 @@ from .errors import (
     DisconnectedGraphError,
     EssentiallyOrientedError,
     InfeasibleTriangleError,
-    NonSpanningForestError,
     NotCanonicalError,
     PhasedMatroidError,
 )
@@ -224,31 +222,28 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
     return verdict
 
 
-def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,
-                      values: Sequence[float]) -> ComplexMatrix:
-    """Rescale a standard-form matrix so each forest edge carries a prescribed norm.
+def normalize_to_tree(m: ComplexMatrix, values: Sequence[float]) -> ComplexMatrix:
+    """Rescale a standard-form matrix so each spanning-forest edge carries a prescribed norm.
 
-    Row and column scalars are positive reals propagated along the forest, so
-    all phases are unchanged and the standard form is preserved.  The forest
-    must span the bipartite graph of m's nonzero entries (i, j), i <= r < j;
-    the result is then the unique such scaling-equivalent matrix.
+    The forest is ``canonical_spanning_forest``'s scan over the nonzero entries
+    (i, j), i <= r < j, of m, and ``values`` follow its edges: for a standard-form
+    realization of phi, ``canonical_spanning_forest(phi).edges``.  Row and column
+    scalars are positive reals propagated along the forest, one tree per component,
+    so all phases and columns 1..r, which must be diagonal, are unchanged; the
+    result is the unique such scaling-equivalent matrix.
     """
     r, n = m.rows, m.cols
+    for i, k in np.argwhere(m.norms[:, :r] != 0.0) + 1:
+        if i != k:
+            raise ValueError(f"columns 1..{r} must be diagonal, but entry ({i}, {k}) is nonzero")
+    forest = _scan_forest(r, n, {(i, j) for i in range(1, r + 1) for j in range(r + 1, n + 1)
+                                 if m.norms[i - 1, j - 1] != 0.0})
     values = list(values)
     if len(values) != len(forest.edges):
-        raise ValueError("need one value per forest edge")
+        raise ValueError(f"need {len(forest.edges)} values, one per forest edge, got {len(values)}")
     if not all(0.0 < v < math.inf for v in values):  # NaN fails both comparisons
         raise ValueError("tree values must be positive and finite")
-    uf = _UnionFind(n + 1)
-    deltas = []
-    for (i, j), val in zip(forest.edges, values):
-        if not (1 <= i <= r < j <= n):
-            raise NonSpanningForestError(f"edge ({i}, {j}) is not row-column")
-        if not uf.union(i, j):
-            raise NonSpanningForestError(f"edge ({i}, {j}) closes a cycle")
-        if m.entry_norm(i, j) == 0.0:
-            raise NonSpanningForestError(f"forest edge ({i}, {j}) sits on a zero entry")
-        deltas.append(math.log(val) - math.log(m.entry_norm(i, j)))
+    deltas = [math.log(v) - math.log(m.entry_norm(i, j)) for (i, j), v in zip(forest.edges, values)]
     # q = -log(row scalar) on rows and +log(column scalar) on columns, so the
     # factor on entry (i, j) is exp(q[j] - q[i]) and an edge fixes q[j] - q[i]
     q = tree_potentials(n, forest.edges, deltas, 1)
@@ -256,7 +251,5 @@ def normalize_to_tree(m: ComplexMatrix, forest: SpanningForest,
     norms = m.norms.copy()
     for i in range(1, r + 1):
         for j in range(r + 1, n + 1):
-            if norms[i - 1, j - 1] != 0.0 and uf.find(i) != uf.find(j):
-                raise NonSpanningForestError(f"entry ({i}, {j}) joins two components of the forest")
             norms[i - 1, j - 1] *= math.exp(q[j] - q[i])
     return ComplexMatrix(norms, m.angles)

@@ -161,12 +161,12 @@ def test_criterion_5_tree_parametrization():
         matrices = []
         for _ in range(50):
             values = rng.uniform(0.1, 5.0, size=len(forest.edges))
-            m = normalize_to_tree(base, forest, values)
+            m = normalize_to_tree(base, values)
             assert from_matrix(m).max_angular_distance(phi) < 1e-7
             matrices.append(m)
         for a, b in itertools.combinations(matrices, 2):
             assert max_entry_distance(a, b) > 1e-9
-        ones = normalize_to_tree(base, forest, [1.0] * len(forest.edges))
+        ones = normalize_to_tree(base, [1.0] * len(forest.edges))
         assert max_entry_distance(ones, reconstruct(canonicalize(phi))) < 1e-6
 
 

@@ -1,6 +1,7 @@
 """Bipartite graph, spanning forest, canonicalization and orientability."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from phasedmatroids import (
     ComplexMatrix,
     DisconnectedGraphError,
     Phase,
+    PhasedMatroidError,
     Phirotope,
     Rephasing,
     Tolerance,
@@ -27,6 +29,8 @@ from phasedmatroids import (
     rephase,
     scale_global,
 )
+from phasedmatroids import canonical
+from phasedmatroids.cli import run
 from phasedmatroids.jsonio import matrix_from_json, phirotope_from_json
 
 from conftest import FIXTURES, load_fixture
@@ -269,6 +273,25 @@ def test_minor_phase_rejects_bad_rows_and_columns(runex_phi):
                        ((1, 1), (4, 5)), ((1, 2), (5, 5)), ((1,), (r,))]:
         with pytest.raises(ValueError):
             minor_phase(runex_phi, rows, cols)
+
+
+def test_canonicalize_refuses_a_value_it_failed_to_pin(monkeypatch, capsys, nonreal2ex_phi):
+    """A pinned value more than VERIFY_TOLERANCE from its target after the
+    global scaling is an error, not silently overwritten."""
+    scale_exactly = canonical.scale_global
+
+    def scale_and_rotate_first(phi, alpha):
+        out = scale_exactly(phi, alpha)
+        first = tuple(range(1, phi.r + 1))
+        out.values[first] = out.values[first] * Phase(1e-5)
+        return out
+
+    monkeypatch.setattr(canonical, "scale_global", scale_and_rotate_first)
+    with pytest.raises(PhasedMatroidError, match="failed to pin basis"):
+        canonicalize(nonreal2ex_phi)
+    code = run(["canonicalize", "--input", str(FIXTURES / "nonreal2ex_phirotope.json")])
+    assert code == 2
+    assert set(json.loads(capsys.readouterr().out)) == {"error"}
 
 
 def test_canonicalize_rejects_direct_sum():

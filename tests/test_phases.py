@@ -130,6 +130,14 @@ def test_triangle_negative_solution_is_infeasible():
         triangle_solve(Phase.from_angle_over_pi(0.25), ONE, Phase.from_angle_over_pi(0.5), s1=1.0)
 
 
+def test_triangle_solution_failing_the_phase_check_is_infeasible():
+    # alpha and beta 2e-12 apart pass the degeneracy test at eps 1e-12, but
+    # the solved s1*alpha - s2*beta misses gamma by far more than 10 eps
+    with pytest.raises(InfeasibleTriangleError, match=r"fails phase check \(residual 6\.83e-06\)"):
+        triangle_solve(Phase.from_angle(1.3 * math.pi), Phase.from_angle(0.1 * math.pi),
+                       Phase.from_angle(0.1 * math.pi + 2e-12), None, 1.0, Tolerance(1e-12))
+
+
 def test_triangle_degenerate_directions():
     with pytest.raises(DegenerateTriangleError):
         triangle_solve(Phase.from_angle_over_pi(0.5), ONE, ONE, s1=1.0)

@@ -3,7 +3,11 @@
 import cmath
 import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -75,6 +79,29 @@ def test_not_identically_zero():
 def test_missing_basis_rejected():
     with pytest.raises(ValueError):
         Phirotope(3, 2, {(1, 2): Phase(0.0)})
+
+
+@pytest.mark.parametrize("n, r", [(10**9, 5 * 10**8), (10**8, 10**8)])
+def test_completeness_guard_bounds_memory(n, r):
+    """Fewer than n values (none, when r = n) are refused before an r-subset
+    is listed or C(n, r) computed: the first subset alone would hold r ints.
+    The subprocess's address space is capped at 1 GiB, so that a regression
+    ends in a MemoryError instead of exhausting the host."""
+    resource = pytest.importorskip("resource")
+    script = ("from phasedmatroids import Phirotope\n"
+              "try:\n"
+              f"    Phirotope({n}, {r}, {{}})\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (2**30, 2**30)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"expected C({n}, {r}) values, got 0: "), proc.stdout
 
 
 def test_unexpected_key_rejected():

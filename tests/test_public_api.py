@@ -2,6 +2,7 @@
 documented in README or docs/formats.md, used by the CLI or a demo, or is a
 type or exception that those functions return or raise."""
 
+import inspect
 import pathlib
 import re
 import types
@@ -17,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 RETURNED_OR_RAISED = {
     "Witness", "SpanningForest", "Rephasing", "RealizabilityVerdict", "ZERO",
     "IndexOutOfRangeError", "RankDeficientError", "DegenerateTriangleError",
-    "InfeasibleTriangleError", "EssentiallyOrientedError", "NonSpanningForestError",
+    "InfeasibleTriangleError", "EssentiallyOrientedError",
 }
 
 #: Names with no caller outside the tests, removed from the package.
@@ -33,6 +34,7 @@ REMOVED = {
     "canonical_targets": phasedmatroids.canonical,
     "TriangleEquation": phasedmatroids.phases,
     "_integer": jsonio,
+    "NonSpanningForestError": phasedmatroids.errors,
 }
 REMOVED_METHODS = [
     (phasedmatroids.ComplexMatrix, "max_distance"),
@@ -79,3 +81,8 @@ def test_removed_name_is_gone(name):
 @pytest.mark.parametrize("owner, attr", REMOVED_METHODS, ids=lambda x: getattr(x, "__name__", x))
 def test_removed_method_is_gone(owner, attr):
     assert not hasattr(owner, attr)
+
+
+def test_normalize_to_tree_derives_its_forest():
+    """The forest is the scan over the matrix's nonzero entries, not an argument."""
+    assert list(inspect.signature(phasedmatroids.normalize_to_tree).parameters) == ["m", "values"]

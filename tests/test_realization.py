@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from phasedmatroids import (
     DegenerateTriangleError,
     EssentiallyOrientedError,
     InfeasibleTriangleError,
-    NonSpanningForestError,
     NotCanonicalError,
     NotRealizable,
     Phase,
@@ -212,10 +212,10 @@ def test_normalize_to_tree_identity_and_readback():
     m = standard_form(ComplexMatrix.from_complex(arr))
     forest = canonical_spanning_forest(from_matrix(m))
     current = [m.entry_norm(i, j) for (i, j) in forest.edges]
-    assert max_entry_distance(normalize_to_tree(m, forest, current), m) < 1e-12
+    assert max_entry_distance(normalize_to_tree(m, current), m) < 1e-12
 
     values = rng.uniform(0.2, 4.0, size=len(forest.edges))
-    scaled = normalize_to_tree(m, forest, values)
+    scaled = normalize_to_tree(m, values)
     for (i, j), v in zip(forest.edges, values):
         assert scaled.entry_norm(i, j) == pytest.approx(v, rel=1e-12)
     # phases untouched, phirotope preserved up to nothing at all
@@ -226,30 +226,32 @@ def test_normalize_to_tree_rejects_bad_forests():
     rng = np.random.default_rng(47)
     arr = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     m = standard_form(ComplexMatrix.from_complex(arr))
-    forest = canonical_spanning_forest(from_matrix(m))
-    with pytest.raises(ValueError):
-        normalize_to_tree(m, forest, [1.0])
+    with pytest.raises(ValueError, match="need 3 values"):
+        normalize_to_tree(m, [1.0])
     for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            normalize_to_tree(m, forest, [1.0, bad, 1.0])
-    from phasedmatroids import SpanningForest
-    cyclic = SpanningForest(((1, 3), (2, 3), (1, 4), (2, 4)), 1)
-    with pytest.raises(NonSpanningForestError):
-        normalize_to_tree(m, cyclic, [1.0] * 4)
-    for edges in (((3, 4), (1, 3)), ((1, 2), (1, 3)), ((1, 5), (1, 3))):
-        with pytest.raises(NonSpanningForestError, match="not row-column"):
-            normalize_to_tree(m, SpanningForest(edges, 2), [1.0, 1.0])
-    sparse = ComplexMatrix.from_complex(np.array([[1, 0, 0, 2], [0, 1, 3, 4]], dtype=complex))
-    with pytest.raises(NonSpanningForestError, match="zero entry"):
-        normalize_to_tree(sparse, SpanningForest(((1, 3), (2, 3), (2, 4)), 1), [1.0] * 3)
-    # a forest that leaves a nonzero entry between two of its components does
-    # not fix the scaling; on a disconnected support, one per component does
-    for edges in ((), ((1, 3),), ((1, 3), (2, 3))):
-        with pytest.raises(NonSpanningForestError, match="joins two components"):
-            normalize_to_tree(m, SpanningForest(edges, 4 - len(edges)), [1.0] * len(edges))
+        with pytest.raises(ValueError, match="positive"):
+            normalize_to_tree(m, [1.0, bad, 1.0])
+    # on a disconnected support, one tree per component fixes the scaling
     split = ComplexMatrix.from_complex(np.array([[1, 0, 2, 0], [0, 1, 0, 3]], dtype=complex))
-    scaled = normalize_to_tree(split, SpanningForest(((1, 3), (2, 4)), 2), [1.0, 1.0])
-    assert scaled.entry_norm(2, 4) == 1.0
+    scaled = normalize_to_tree(split, [1.0, 1.0])
+    assert scaled.entry_norm(1, 3) == scaled.entry_norm(2, 4) == 1.0
+
+
+def test_normalize_to_tree_refuses_a_matrix_not_in_standard_form():
+    """Only columns r+1..n are rescaled, which keeps the phirotope only when
+    columns 1..r are diagonal; a general (2, 4) matrix came back 0.564 rad
+    away from its phirotope, with no error."""
+    rng = np.random.default_rng(3)
+    m = ComplexMatrix.from_complex(rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))
+    with pytest.raises(ValueError, match=re.escape("entry (1, 2) is nonzero")):
+        normalize_to_tree(m, [2.0] * 3)
+    lower = ComplexMatrix.from_complex(np.array([[2, 0, 1, 1], [1j, 3, 1, 2]]))
+    with pytest.raises(ValueError, match=re.escape("entry (2, 1) is nonzero")):
+        normalize_to_tree(lower, [1.0] * 3)
+    diagonal = ComplexMatrix.from_complex(np.array([[2, 0, 1, 1j], [0, 3j, 1, 2]]))
+    scaled = normalize_to_tree(diagonal, [5.0] * 3)
+    assert from_matrix(scaled).max_angular_distance(from_matrix(diagonal)) < 1e-12
+    assert [scaled.entry_norm(i, j) for i, j in ((1, 1), (2, 2))] == [2.0, 3.0]
 
 
 def test_verify_refuses_a_matrix_of_another_shape(runex_matrix, runex_phi, nonreal2ex_phi):
@@ -277,7 +279,7 @@ def test_uniqueness_of_canonical_point():
         rephased = ComplexMatrix.from_complex(arr * rho_units[None, :])
         std = standard_form(rephased)
         forest = canonical_spanning_forest(result.canonical)
-        renormed = normalize_to_tree(std, forest, [1.0] * len(forest.edges))
+        renormed = normalize_to_tree(std, [1.0] * len(forest.edges))
         assert max_entry_distance(renormed, verdict.matrix) < 1e-6
 
 
