@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DisconnectedGraphError,
     FirstSubsetNotBasisError,
@@ -19,8 +21,16 @@ from .errors import (
     PhasedMatroidError,
 )
 from .matrices import _is_integer
-from .phases import VERIFY_TOLERANCE, Phase, circular_distance
-from .phirotopes import Phirotope, Rephasing, rephase, scale_global
+from .phases import VERIFY_TOLERANCE, Phase, _circular_distance_array
+from .phirotopes import (
+    Phirotope,
+    Rephasing,
+    _bases,
+    _basis_rank,
+    _phase,
+    rephase,
+    scale_global,
+)
 
 
 def entry_phase(phi: Phirotope, i: int, j: int) -> Phase:
@@ -51,6 +61,12 @@ def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
     return phi.evaluate(indices)
 
 
+def _exchange_rank(r: int, n: int, i: int, j: int) -> int:
+    """The lex rank of the r-subset {1..r} - {i} + {j}, i <= r < j."""
+    first = tuple(range(1, r + 1))
+    return _basis_rank(first[:i - 1] + first[i:] + (j,), n)
+
+
 def associated_bipartite_graph(phi: Phirotope) -> frozenset:
     """The edges (i, j), i <= r < j, of the bipartite graph of phi's underlying
     matroid: (i, j) is an edge iff {1..r} - {i} + {j} is a basis.  Read from
@@ -67,11 +83,10 @@ def associated_bipartite_graph(phi: Phirotope) -> frozenset:
     B1 - {x} + {y} is a basis.
     """
     r, n = phi.r, phi.n
-    first = tuple(range(1, r + 1))
-    if phi.values[first].is_zero:
+    if math.isnan(phi.angles[0]):  # {1..r} is the first basis in lex order
         raise FirstSubsetNotBasisError("{1..r} must be a basis")
-    return frozenset((i, j) for i in first for j in range(r + 1, n + 1)
-                     if not phi.values[first[:i - 1] + first[i:] + (j,)].is_zero)
+    return frozenset((i, j) for i in range(1, r + 1) for j in range(r + 1, n + 1)
+                     if not math.isnan(phi.angles[_exchange_rank(r, n, i, j)]))
 
 
 @dataclass(frozen=True)
@@ -155,20 +170,20 @@ class CanonicalizationResult:
     forest: SpanningForest
 
 
-def _tree_targets(r: int, forest: SpanningForest) -> dict:
-    """Pinned bases with their target phases: {1..r} -> 1, and
-    {1..r}-{i}+{j} -> (-1)**(r-i) for every forest edge (i, j), which makes
-    the entry (i, j) of a standard-form realization phase 1."""
-    first = tuple(range(1, r + 1))
-    targets = {first: Phase(0.0)}
-    for i, j in forest.edges:
-        targets[first[:i - 1] + first[i:] + (j,)] = Phase(0.0 if (r - i) % 2 == 0 else math.pi)
-    return targets
+def _tree_targets(r: int, n: int, forest: SpanningForest) -> tuple:
+    """The pinned bases' lex ranks and their target angles, as two arrays:
+    {1..r} -> 0, and {1..r}-{i}+{j} -> pi*(r-i) mod 2*pi for every forest
+    edge (i, j), the value that makes entry (i, j) of a standard-form
+    realization phase 1."""
+    ranks = [0] + [_exchange_rank(r, n, i, j) for i, j in forest.edges]
+    targets = [0.0] + [0.0 if (r - i) % 2 == 0 else math.pi for i, _ in forest.edges]
+    return np.array(ranks, dtype=np.intp), np.array(targets)
 
 
 def _pinned_on(phi: Phirotope, forest: SpanningForest) -> bool:
     """True iff phi meets every pin of ``forest`` within ``phi.tolerance``."""
-    return all(phi.values[b].isclose(t, phi.tolerance) for b, t in _tree_targets(phi.r, forest).items())
+    ranks, targets = _tree_targets(phi.r, phi.n, forest)
+    return bool((_circular_distance_array(phi.angles[ranks], targets) < phi.tolerance.eps).all())
 
 
 def canonicalize(phi: Phirotope) -> CanonicalizationResult:
@@ -187,35 +202,42 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")
 
-    first_value = phi.values[tuple(range(1, r + 1))]
+    first_angle = phi.angles.item(0)  # the value on {1..r}
     # tree edge (i, j) forces rho[j] - rho[i] = ang(phi(1..r)) - ang(entry_phase)
-    deltas = [first_value.angle - entry_phase(phi, i, j).angle for (i, j) in forest.edges]
+    deltas = [first_angle - entry_phase(phi, i, j).angle for (i, j) in forest.edges]
     rho_angle = tree_potentials(n, forest.edges, deltas, min(r + 1, n))
     rho = Rephasing(tuple(Phase.from_angle(rho_angle[k]) for k in range(1, n + 1)))
-    alpha = Phase.from_angle(-first_value.angle - sum(rho_angle[k] for k in range(1, r + 1)))
-    canonical = scale_global(rephase(phi, rho), alpha)
+    alpha = Phase.from_angle(-first_angle - sum(rho_angle[k] for k in range(1, r + 1)))
+    scaled = scale_global(rephase(phi, rho), alpha)
 
     # pinned values are assigned exactly, not left to float accumulation
-    for basis, target in _tree_targets(r, forest).items():
-        got = canonical.values[basis]
-        if circular_distance(got.angle, target.angle) > VERIFY_TOLERANCE.eps:
-            raise PhasedMatroidError(
-                f"canonicalization failed to pin basis {basis}: got {got}, want {target}")
-        canonical.values[basis] = target
+    ranks, targets = _tree_targets(r, n, forest)
+    angles = scaled.angles.copy()
+    off = np.flatnonzero(_circular_distance_array(angles[ranks], targets) > VERIFY_TOLERANCE.eps)
+    if off.size:
+        k = off[0]
+        basis = tuple(_bases(n, r)[ranks[k]].tolist())
+        raise PhasedMatroidError(f"canonicalization failed to pin basis {basis}: "
+                                 f"got {_phase(angles[ranks[k]])}, want {Phase(targets[k])}")
+    angles[ranks] = targets
+    canonical = Phirotope._from_angles(n, r, angles, phi.tolerance)
     return CanonicalizationResult(rho, alpha, canonical, forest)
 
 
 def is_canonical(phi: Phirotope) -> bool:
     """True iff {1..r} is a basis and phi meets every pin of its canonical
     spanning forest (``_tree_targets``) within ``phi.tolerance``."""
-    if phi.values[tuple(range(1, phi.r + 1))].is_zero:
+    if math.isnan(phi.angles[0]):
         return False
     return _pinned_on(phi, canonical_spanning_forest(phi))
 
 
 def is_real_valued(phi: Phirotope) -> bool:
     """True iff every value is 0 or within ``phi.tolerance`` of +1 or -1."""
-    return all(p.is_real(phi.tolerance) for p in phi.values.values())
+    a = phi.angles[~np.isnan(phi.angles)]
+    eps = phi.tolerance.eps
+    return bool(((_circular_distance_array(a, 0.0) < eps)
+                 | (_circular_distance_array(a, math.pi) < eps)).all())
 
 
 def is_essentially_oriented(phi: Phirotope) -> bool:

@@ -7,6 +7,7 @@ and zero matrix entries serialize as ``null``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -17,8 +18,8 @@ import numpy as np
 from .canonical import CanonicalizationResult, SpanningForest
 from .errors import PhasedMatroidError
 from .matrices import ComplexMatrix, _is_integer
-from .phases import Phase, Tolerance
-from .phirotopes import Phirotope, Rephasing
+from .phases import Phase, Tolerance, _normalize_array
+from .phirotopes import Phirotope, Rephasing, _in_lex_order
 from .realization import (
     NotRealizable,
     Realizable,
@@ -54,12 +55,13 @@ def _angle(x: Any, name: str) -> float:
     return angle
 
 
-def phase_from_json(obj: Any) -> Phase:
+def _phase_angle(obj: Any) -> float:
+    """The angle in radians of a JSON phase, not yet normalized; NaN for null."""
     if obj is None:
-        return Phase(None)
+        return math.nan
     if not isinstance(obj, dict) or set(obj) != {"angle_over_pi"}:
         raise FormatError(f"expected null or {{'angle_over_pi': x}}, got {obj!r}")
-    return Phase.from_angle(_angle(obj["angle_over_pi"], "angle_over_pi"))
+    return _angle(obj["angle_over_pi"], "angle_over_pi")
 
 
 def matrix_to_json(m: ComplexMatrix) -> dict:
@@ -109,11 +111,12 @@ def matrix_from_json(obj: Any) -> ComplexMatrix:
 
 
 def phirotope_to_json(phi: Phirotope) -> dict:
+    bases = itertools.combinations(range(1, phi.n + 1), phi.r)
     return {
         "n": phi.n,
         "r": phi.r,
-        "values": [{"basis": list(b), "phase": phase_to_json(p)}
-                   for b, p in phi.values.items()],
+        "values": [{"basis": list(b), "phase": None if math.isnan(x) else {"angle_over_pi": x}}
+                   for b, x in zip(bases, (phi.angles / math.pi).tolist())],
     }
 
 
@@ -142,9 +145,10 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
         key = tuple(basis)
         if key in values:
             raise FormatError(f"basis {basis} appears twice")
-        values[key] = phase_from_json(item["phase"])
+        values[key] = _phase_angle(item["phase"])
     try:
-        return Phirotope(n, r, values, tolerance, validate=validate)
+        angles = _normalize_array(np.array(_in_lex_order(n, r, values), dtype=float))
+        return Phirotope._from_angles(n, r, angles, tolerance, validate)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

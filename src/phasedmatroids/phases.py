@@ -65,10 +65,27 @@ def _normalize(angle: float) -> float:
     return a
 
 
+def _normalize_array(angles: np.ndarray) -> np.ndarray:
+    """``_normalize`` of each entry of a float array, bit for bit, as a new
+    array; NaN (the zero phase) stays NaN.  The ``+ 2*pi`` is applied only
+    where the remainder is negative, so -0.0 keeps its sign as it does there."""
+    a = np.fmod(angles, TAU)
+    np.add(a, TAU, out=a, where=a < 0.0)
+    a[a >= TAU] = 0.0
+    return a
+
+
 def circular_distance(a: float, b: float) -> float:
     """Shortest angular distance between two angles, in [0, pi]."""
     d = abs(_normalize(a) - _normalize(b))
     return min(d, TAU - d)
+
+
+def _circular_distance_array(a, b) -> np.ndarray:
+    """``circular_distance`` entrywise for angles already in [0, 2*pi), bit for
+    bit; NaN where either angle is NaN."""
+    d = np.abs(a - b)
+    return np.minimum(d, TAU - d)
 
 
 @dataclass(frozen=True)
@@ -114,11 +131,6 @@ class Phase:
         if self.angle is None:
             return ZERO
         return Phase(_normalize(self.angle + math.pi))
-
-    def isclose(self, other: "Phase", tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return circular_distance(self.angle, other.angle) < tol.eps
 
     def is_real(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """True iff this is the zero phase or within tolerance of +1 / -1."""

@@ -1,21 +1,24 @@
 """Phirotopes: alternating phase-valued maps on r-subsets of a ground set.
 
-Values are stored once per sorted r-subset; evaluation on arbitrary ordered
-tuples computes the sign of the sorting permutation on the fly.  Validation
-checks the combinatorial complex Grassmann-Pluecker relations: for every
-(r+1)-subset X and (r-1)-subset Y the alternating term multiset must contain
-zero in its hypersum.  Y-subsets overlapping X are not skipped; since the map
-is alternating, reorderings of Y change all terms by a common sign, which
-never affects zero membership, so quantifying over sorted Y loses nothing.
+Values are stored once per sorted r-subset, as one angle array in lex order
+of the subsets; evaluation on arbitrary ordered tuples computes the sign of
+the sorting permutation on the fly.  Validation checks the combinatorial
+complex Grassmann-Pluecker relations: for every (r+1)-subset X and
+(r-1)-subset Y the alternating term multiset must contain zero in its
+hypersum.  Y-subsets overlapping X are not skipped; since the map is
+alternating, reorderings of Y change all terms by a common sign, which never
+affects zero membership, so quantifying over sorted Y loses nothing.
 The rule is stated in docs/formats.md, section "Grassmann-Pluecker check".
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +37,8 @@ from .phases import (
     ZERO_MAGNITUDE_CUTOFF,
     Phase,
     Tolerance,
-    circular_distance,
+    _circular_distance_array,
+    _normalize_array,
     zero_in_hypersum_batch,
 )
 
@@ -95,8 +99,54 @@ class Rephasing:
         return len(self.rho)
 
 
+@functools.lru_cache(maxsize=8)
+def _bases(n: int, r: int) -> np.ndarray:
+    """The sorted r-subsets of [n], one per row in lex order; read-only."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), r))
+    bases = np.fromiter(flat, dtype=np.intp, count=math.comb(n, r) * r).reshape(-1, r)
+    bases.flags.writeable = False
+    return bases
+
+
+def _basis_rank(basis: Sequence[int], n: int) -> int:
+    """``_lex_rank`` of one sorted subset, in Python integers."""
+    s = len(basis)
+    return math.comb(n, s) - 1 - sum(math.comb(n - c, s - i) for i, c in enumerate(basis))
+
+
+def _phase(angle: float) -> Phase:
+    """The phase of a stored angle: NaN is the zero phase."""
+    return ZERO if math.isnan(angle) else Phase(angle)
+
+
+def _in_lex_order(n: int, r: int, values: Mapping) -> list:
+    """The values of a mapping keyed by the sorted r-subsets of [n], listed in
+    lex order of the keys; ValueError unless it has exactly those keys."""
+    # C(n, r) >= n for r < n: a shorter mapping is refused before listing a
+    # subset or computing C(n, r), which take minutes for n in the millions
+    if len(values) < (n if r < n else 1):
+        raise ValueError(f"expected C({n}, {r}) values, got {len(values)}: "
+                         "every sorted r-subset must appear exactly once")
+    ordered = []
+    for b in itertools.combinations(range(1, n + 1), r):
+        if b not in values:
+            raise ValueError(f"missing value for basis {b}")
+        ordered.append(values[b])
+    if len(values) != len(ordered):
+        bases = set(itertools.combinations(range(1, n + 1), r))
+        key = next(k for k in values if k not in bases)
+        raise ValueError(f"key {key!r} is not a sorted {r}-subset of [1, {n}]")
+    return ordered
+
+
 class Phirotope:
-    """A rank-r phirotope on ground set [n], stored on sorted r-subsets.
+    """A rank-r phirotope on ground set [n].
+
+    ``angles`` holds one value per sorted r-subset, in lex order of the
+    subsets (``itertools.combinations``, the index ``_lex_rank`` gives): its
+    angle in [0, 2*pi), or NaN for the zero phase.  The array is read-only and
+    every per-value operation reads it; ``values`` lists the same values as
+    Phases, built on first use.
 
     Construction validates the Grassmann-Pluecker relations unless
     ``validate=False``; deferred validation exists for performance-sensitive
@@ -110,29 +160,37 @@ class Phirotope:
                  validate: bool = True):
         if not (1 <= rank <= ground_size):
             raise ValueError("need 1 <= rank <= ground size")
-        self.n = ground_size
-        self.r = rank
+        ordered = _in_lex_order(ground_size, rank, values)
+        angles = np.array([math.nan if p.is_zero else p.angle for p in ordered], dtype=float)
+        self._store(ground_size, rank, angles, tolerance, validate)
+
+    @classmethod
+    def _from_angles(cls, ground_size: int, rank: int, angles: np.ndarray,
+                     tolerance: Tolerance, validate: bool = False) -> "Phirotope":
+        """The phirotope whose ``angles`` is ``angles`` itself, which must be
+        C(n, r) normalized angles or NaN in lex order; it becomes read-only."""
+        phi = cls.__new__(cls)
+        phi._store(ground_size, rank, angles, tolerance, validate)
+        return phi
+
+    def _store(self, n, r, angles, tolerance, validate):
+        self.n = n
+        self.r = r
         self.tolerance = tolerance
-        # C(n, r) >= n for r < n: a shorter mapping is refused before listing a
-        # subset or computing C(n, r), which take minutes for n in the millions
-        if len(values) < (ground_size if rank < ground_size else 1):
-            raise ValueError(f"expected C({ground_size}, {rank}) values, got {len(values)}: "
-                             "every sorted r-subset must appear exactly once")
-        vals = {}  # in lex order of the bases
-        for b in itertools.combinations(range(1, ground_size + 1), rank):
-            if b not in values:
-                raise ValueError(f"missing value for basis {b}")
-            vals[b] = values[b]
-        if len(values) != len(vals):
-            key = next(k for k in values if k not in vals)
-            raise ValueError(f"key {key!r} is not a sorted {rank}-subset of [1, {ground_size}]")
-        self.values = vals
-        if all(p.is_zero for p in vals.values()):
+        angles.flags.writeable = False
+        self.angles = angles
+        if np.isnan(angles).all():
             raise ValueError("a phirotope is not identically zero")
         if validate:
             violations = self.check_gp()
             if violations:
                 raise InvalidPhirotopeError(violations)
+
+    @functools.cached_property
+    def values(self) -> Mapping[tuple, Phase]:
+        """basis -> Phase, in lex order of the bases; read-only."""
+        bases = itertools.combinations(range(1, self.n + 1), self.r)
+        return MappingProxyType(dict(zip(bases, map(_phase, self.angles.tolist()))))
 
     def evaluate(self, indices: Sequence[int]) -> Phase:
         """Alternating evaluation on an arbitrary ordered r-tuple."""
@@ -145,7 +203,7 @@ class Phirotope:
         srt, sign = sort_with_sign(idx)
         if sign == 0:
             return ZERO
-        p = self.values[srt]
+        p = _phase(self.angles.item(_basis_rank(srt, self.n)))
         return p if sign > 0 else -p
 
     def check_gp(self):
@@ -161,14 +219,14 @@ class Phirotope:
         """
         n, r = self.n, self.r
         ground = range(1, n + 1)
-        ang = np.array([math.nan if p.is_zero else p.angle for p in self.values.values()])
+        ang = self.angles
         neg = ang + math.pi  # the angles of -phi, in [0, 2*pi) like ang
         neg -= TAU * (neg >= TAU)
         # ey[e, Y] = angle of phi(e, *Y), NaN when e is in Y; row 0 is unused.
         # When Y is the basis b without its k-th element e, phi(e, *Y) = (-1)^k phi(b).
         ysubs = list(itertools.combinations(ground, r - 1))
         ny = len(ysubs)
-        bases = np.array(list(itertools.combinations(ground, r)))
+        bases = _bases(n, r)
         ey = np.full((n + 1, ny), math.nan)
         for k in range(r):
             ey[bases[:, k], _lex_rank(np.delete(bases, k, axis=1), n)] = neg if k % 2 else ang
@@ -194,7 +252,8 @@ class Phirotope:
     def __eq__(self, other):
         if not isinstance(other, Phirotope):
             return NotImplemented
-        return self.n == other.n and self.r == other.r and self.values == other.values
+        return (self.n == other.n and self.r == other.r
+                and np.array_equal(self.angles, other.angles, equal_nan=True))
 
     def max_angular_distance(self, other: "Phirotope") -> float:
         """Largest circular distance between corresponding nonzero values;
@@ -202,21 +261,19 @@ class Phirotope:
         if (self.n, self.r) != (other.n, other.r):
             raise ValueError(f"cannot compare a ({self.r}, {self.n}) phirotope "
                              f"with a ({other.r}, {other.n}) one")
-        worst = 0.0
-        for b, p in self.values.items():
-            q = other.values[b]
-            if p.is_zero != q.is_zero:
-                return math.inf
-            if not p.is_zero:
-                worst = max(worst, circular_distance(p.angle, q.angle))
-        return worst
+        zero = np.isnan(self.angles)
+        if (zero != np.isnan(other.angles)).any():
+            return math.inf
+        distances = _circular_distance_array(self.angles[~zero], other.angles[~zero])
+        return float(distances.max(initial=0.0))
 
     def __repr__(self):
         return f"Phirotope(n={self.n}, r={self.r})"
 
 
-def minor_phases(m: ComplexMatrix) -> dict[tuple, Phase]:
-    """Phase of every maximal minor of m, basis -> Phase in lex order.
+def minor_phases(m: ComplexMatrix) -> np.ndarray:
+    """The phase angle of every maximal minor of m, in lex order of the bases:
+    in [0, 2*pi), or NaN for a zero minor.
 
     A minor is zero when its magnitude is below ``ZERO_MAGNITUDE_CUTOFF``
     times the largest minor magnitude of m, so which minors vanish does not
@@ -224,6 +281,8 @@ def minor_phases(m: ComplexMatrix) -> dict[tuple, Phase]:
     normal float, are recomputed from m times the power of two that puts its
     largest norm in [0.5, 1); other matrices are used as they are, because
     LAPACK's determinant (r > 3) rounds its phases differently at another scale.
+    Each angle is ``cmath.phase`` of its minor: ``np.angle`` differs from it in
+    the last bit on some minors, and those bits reach the output.
     """
     with np.errstate(all="ignore"):  # overflow is detected below
         minors = all_maximal_minors(m)
@@ -234,9 +293,9 @@ def minor_phases(m: ComplexMatrix) -> dict[tuple, Phase]:
         minors = all_maximal_minors(ComplexMatrix(np.ldexp(m.norms, -exponent), m.angles))
         magnitudes = np.hypot(minors.real, minors.imag)
     cutoff = ZERO_MAGNITUDE_CUTOFF * magnitudes.max()
-    bases = itertools.combinations(range(1, m.cols + 1), m.rows)
-    return {b: ZERO if d == 0 or a < cutoff else Phase.from_angle(cmath.phase(d))
-            for b, d, a in zip(bases, minors.tolist(), magnitudes.tolist())}
+    angles = np.array([cmath.phase(d) for d in minors.tolist()])
+    angles[(minors == 0) | (magnitudes < cutoff)] = math.nan
+    return _normalize_array(angles)
 
 
 def from_matrix(m: ComplexMatrix, tolerance: Tolerance = DEFAULT_TOLERANCE) -> Phirotope:
@@ -251,33 +310,33 @@ def from_matrix(m: ComplexMatrix, tolerance: Tolerance = DEFAULT_TOLERANCE) -> P
     if count > MAX_MATRIX_MINORS:
         raise PhasedMatroidError(
             f"C({m.cols}, {m.rows}) = {count} maximal minors exceed the cap of {MAX_MATRIX_MINORS}")
-    values = minor_phases(m)
-    if all(p.is_zero for p in values.values()):
+    angles = minor_phases(m)
+    if np.isnan(angles).all():
         raise RankDeficientError("matrix has no nonzero maximal minor")
-    return Phirotope(m.cols, m.rows, values, tolerance, validate=False)
+    return Phirotope._from_angles(m.cols, m.rows, angles, tolerance)
 
 
 def rephase(phi: Phirotope, rho: Rephasing) -> Phirotope:
-    """Multiply each value by the product of rho over its basis."""
+    """Multiply each value by the product of rho over its basis: the angle of
+    rho at each element of the basis in turn is added and normalized."""
     if len(rho) != phi.n:
         raise ValueError("rephasing length must equal the ground size")
-    values = {}
-    for b, p in phi.values.items():
-        q = p
-        for k in b:
-            q = q * rho.rho[k - 1]
-        values[b] = q
-    return Phirotope(phi.n, phi.r, values, phi.tolerance, validate=False)
+    rho_angles = np.array([p.angle for p in rho.rho])
+    bases = _bases(phi.n, phi.r)
+    angles = phi.angles
+    for k in range(phi.r):
+        angles = _normalize_array(angles + rho_angles[bases[:, k] - 1])
+    return Phirotope._from_angles(phi.n, phi.r, angles, phi.tolerance)
 
 
 def scale_global(phi: Phirotope, alpha: Phase) -> Phirotope:
     """Multiply every value by a nonzero phase; same phased matroid."""
     if alpha.is_zero:
         raise ValueError("global phase must be nonzero")
-    values = {b: alpha * p for b, p in phi.values.items()}
-    return Phirotope(phi.n, phi.r, values, phi.tolerance, validate=False)
+    return Phirotope._from_angles(phi.n, phi.r, _normalize_array(alpha.angle + phi.angles),
+                                  phi.tolerance)
 
 
 def is_uniform(phi: Phirotope) -> bool:
     """True iff no value is zero (every r-subset is a basis)."""
-    return all(not p.is_zero for p in phi.values.values())
+    return not np.isnan(phi.angles).any()

@@ -35,8 +35,8 @@ from .errors import (
     PhasedMatroidError,
 )
 from .matrices import ComplexMatrix
-from .phases import VERIFY_TOLERANCE, Phase, triangle_solve
-from .phirotopes import Phirotope, Rephasing, is_uniform, minor_phases
+from .phases import VERIFY_TOLERANCE, Phase, _circular_distance_array, triangle_solve
+from .phirotopes import Phirotope, Rephasing, _bases, _phase, is_uniform, minor_phases
 
 ESSENTIALLY_ORIENTED = "essentially_oriented"
 NOT_UNIFORM = "not_uniform"
@@ -162,11 +162,15 @@ def verify(phi: Phirotope, m: ComplexMatrix) -> Optional[Witness]:
     """
     if m.rows != phi.r or m.cols != phi.n:
         raise ValueError("matrix dimensions do not match the phirotope")
-    computed = minor_phases(m)
-    for basis, expected in phi.values.items():
-        if not expected.isclose(computed[basis], VERIFY_TOLERANCE):
-            return Witness(basis, expected, computed[basis])
-    return None
+    expected, computed = phi.angles, minor_phases(m)
+    zero = np.isnan(expected)
+    agree = np.where(zero, np.isnan(computed),
+                     _circular_distance_array(expected, computed) < VERIFY_TOLERANCE.eps)
+    if agree.all():
+        return None
+    k = np.argmin(agree)  # the first mismatch
+    return Witness(tuple(_bases(phi.n, phi.r)[k].tolist()),
+                   _phase(expected.item(k)), _phase(computed.item(k)))
 
 
 def _decide_from_reconstruction(phi: Phirotope) -> RealizabilityVerdict:

@@ -2,18 +2,33 @@
 expected test values."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from phasedmatroids import ComplexMatrix, Phase
-from phasedmatroids.phases import zero_in_hypersum_batch
+from phasedmatroids import ZERO, ComplexMatrix, Phase
+from phasedmatroids.matrices import all_maximal_minors
+from phasedmatroids.phases import (
+    DEFAULT_TOLERANCE,
+    VERIFY_TOLERANCE,
+    ZERO_MAGNITUDE_CUTOFF,
+    circular_distance,
+    zero_in_hypersum_batch,
+)
 
 
 def unit(p):
     """A phase as a complex number, 0 for the zero phase."""
     return 0j if p.is_zero else cmath.exp(1j * p.angle)
+
+
+def isclose(p, q, tol=DEFAULT_TOLERANCE):
+    """Both phases zero, or both nonzero within ``tol`` on the circle."""
+    if p.is_zero or q.is_zero:
+        return p.is_zero and q.is_zero
+    return circular_distance(p.angle, q.angle) < tol.eps
 
 
 def zero_in_hypersum_bruteforce(phases, residual_threshold=1e-7):
@@ -168,3 +183,58 @@ def two_pass_spanning_forest(r, n, edges):
             if (i, j) in edges:
                 add(i, j)
     return tuple(sorted(chosen)), len({root(v) for v in range(1, n + 1)})
+
+
+# The per-basis Phase loops that rephasing, global scaling, the real-value test
+# and verification ran before a phirotope stored one angle array; kept as the
+# bit-for-bit references for the array versions.  Each returns basis -> Phase
+# in lex order, or the verdict of its loop.
+
+def minor_phases_reference(m):
+    """basis -> Phase of each maximal minor of m: ``Phase.from_angle`` of
+    ``cmath.phase`` per minor, with ``phirotopes.minor_phases``' zero cutoff
+    and rescaling."""
+    with np.errstate(all="ignore"):
+        minors = all_maximal_minors(m)
+        magnitudes = np.hypot(minors.real, minors.imag)
+    if not (np.isfinite(magnitudes).all()
+            and ZERO_MAGNITUDE_CUTOFF * magnitudes.max() >= np.finfo(float).tiny):
+        exponent = np.frexp(m.norms.max())[1]
+        minors = all_maximal_minors(ComplexMatrix(np.ldexp(m.norms, -exponent), m.angles))
+        magnitudes = np.hypot(minors.real, minors.imag)
+    cutoff = ZERO_MAGNITUDE_CUTOFF * magnitudes.max()
+    bases = itertools.combinations(range(1, m.cols + 1), m.rows)
+    return {b: ZERO if d == 0 or a < cutoff else Phase.from_angle(cmath.phase(d))
+            for b, d, a in zip(bases, minors.tolist(), magnitudes.tolist())}
+
+
+def rephase_reference(phi, rho):
+    """Each value times rho at each element of its basis in turn."""
+    values = {}
+    for b, p in phi.values.items():
+        q = p
+        for k in b:
+            q = q * rho.rho[k - 1]
+        values[b] = q
+    return values
+
+
+def scale_global_reference(phi, alpha):
+    """Each value times alpha."""
+    return {b: alpha * p for b, p in phi.values.items()}
+
+
+def is_real_valued_reference(phi):
+    """Every value is zero or within ``phi.tolerance`` of +1 or -1."""
+    return all(p.is_real(phi.tolerance) for p in phi.values.values())
+
+
+def verify_reference(phi, m):
+    """(basis, expected, computed) at the first basis in lex order where phi
+    and the minor phases of m differ beyond ``VERIFY_TOLERANCE``; None when
+    they agree everywhere."""
+    computed = minor_phases_reference(m)
+    for basis, expected in phi.values.items():
+        if not isclose(expected, computed[basis], VERIFY_TOLERANCE):
+            return basis, expected, computed[basis]
+    return None

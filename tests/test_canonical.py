@@ -34,7 +34,14 @@ from phasedmatroids.cli import run
 from phasedmatroids.jsonio import matrix_from_json, phirotope_from_json
 
 from conftest import FIXTURES, load_fixture
-from oracles import canonical_pins, minor_det, scaled, standard_form, two_pass_spanning_forest
+from oracles import (
+    canonical_pins,
+    isclose,
+    minor_det,
+    scaled,
+    standard_form,
+    two_pass_spanning_forest,
+)
 
 
 def random_standard(rng, r, n):
@@ -67,8 +74,8 @@ def nonuniform_standard_phis(seed, count):
 
 
 def test_entry_phase_nonreal2ex(nonreal2ex_phi):
-    assert entry_phase(nonreal2ex_phi, 1, 4).isclose(Phase.from_angle_over_pi(0.5))
-    assert entry_phase(nonreal2ex_phi, 2, 5).isclose(Phase(0.0))
+    assert isclose(entry_phase(nonreal2ex_phi, 1, 4), Phase.from_angle_over_pi(0.5))
+    assert isclose(entry_phase(nonreal2ex_phi, 2, 5), Phase(0.0))
 
 
 def test_entry_phase_matches_matrix_entries():
@@ -78,18 +85,18 @@ def test_entry_phase_matches_matrix_entries():
         phi = from_matrix(m)
         for i in range(1, r + 1):
             for j in range(r + 1, n + 1):
-                assert entry_phase(phi, i, j).isclose(m.entry_phase(i, j))
+                assert isclose(entry_phase(phi, i, j), m.entry_phase(i, j))
 
 
 def test_minor_phase_singletons_reduce_to_entry_phase(nonreal2ex_phi):
     for i in (1, 2):
         for j in (3, 4, 5):
-            assert minor_phase(nonreal2ex_phi, (i,), (j,)).isclose(
-                entry_phase(nonreal2ex_phi, i, j))
+            assert isclose(minor_phase(nonreal2ex_phi, (i,), (j,)),
+                           entry_phase(nonreal2ex_phi, i, j))
 
 
 def test_minor_phase_runex(runex_phi):
-    assert minor_phase(runex_phi, (2,), (5,)).isclose(Phase.from_angle_over_pi(0.25))
+    assert isclose(minor_phase(runex_phi, (2,), (5,)), Phase.from_angle_over_pi(0.25))
 
 
 def test_minor_phase_matches_determinants():
@@ -109,7 +116,7 @@ def test_minor_phase_matches_determinants():
             for h in itertools.combinations(range(1, r + 1), k):
                 for j in itertools.combinations(range(r + 1, n + 1), k):
                     expected = phase_of(minor_det(m, h, j))
-                    assert minor_phase(phi, h, j).isclose(expected, tol)
+                    assert isclose(minor_phase(phi, h, j), expected, tol)
     assert sizes == {1, 2, 3, 4}
 
 
@@ -200,8 +207,8 @@ def test_forest_edge_count_property():
 
 def test_canonicalize_idempotent(nonreal2ex_phi):
     result = canonicalize(nonreal2ex_phi)
-    assert all(p.isclose(Phase(0.0)) for p in result.rho.rho)
-    assert result.global_phase.isclose(Phase(0.0))
+    assert all(isclose(p, Phase(0.0)) for p in result.rho.rho)
+    assert isclose(result.global_phase, Phase(0.0))
     assert result.canonical.max_angular_distance(nonreal2ex_phi) < 1e-12
 
 
@@ -235,8 +242,8 @@ def test_is_canonical_reads_every_forest_edge(runex_phi):
     moved = scale_global(rephase(canonical, rho), Phase.from_angle(-0.7))
     assert moved.check_gp() == []
     for basis in [(1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 3, 4)]:  # (1, 2, 4) is zero
-        assert moved.values[basis].isclose(canonical.values[basis])
-    assert entry_phase(moved, 2, 5).isclose(Phase.from_angle(0.7))
+        assert isclose(moved.values[basis], canonical.values[basis])
+    assert isclose(entry_phase(moved, 2, 5), Phase.from_angle(0.7))
     assert is_canonical(canonical)
     assert not is_canonical(moved)
 
@@ -281,10 +288,9 @@ def test_canonicalize_refuses_a_value_it_failed_to_pin(monkeypatch, capsys, nonr
     scale_exactly = canonical.scale_global
 
     def scale_and_rotate_first(phi, alpha):
-        out = scale_exactly(phi, alpha)
-        first = tuple(range(1, phi.r + 1))
-        out.values[first] = out.values[first] * Phase(1e-5)
-        return out
+        angles = scale_exactly(phi, alpha).angles.copy()
+        angles[0] += 1e-5  # the value on {1..r}, first in lex order
+        return Phirotope._from_angles(phi.n, phi.r, angles, phi.tolerance)
 
     monkeypatch.setattr(canonical, "scale_global", scale_and_rotate_first)
     with pytest.raises(PhasedMatroidError, match="failed to pin basis"):

@@ -33,10 +33,10 @@ from phasedmatroids import (
 from phasedmatroids import phirotopes
 from phasedmatroids.jsonio import matrix_from_json
 from phasedmatroids.phases import zero_in_hypersum_batch
-from phasedmatroids.phirotopes import _lex_rank, sort_with_sign
+from phasedmatroids.phirotopes import _basis_rank, _lex_rank, sort_with_sign
 
 from conftest import load_fixture
-from oracles import angles_of, basis_exchange_failure, scaled, unit
+from oracles import angles_of, basis_exchange_failure, isclose, scaled, unit
 
 
 def test_sort_with_sign():
@@ -48,10 +48,10 @@ def test_sort_with_sign():
 
 def test_eval_alternation(nonreal2ex_phi):
     phi = nonreal2ex_phi
-    assert phi.evaluate((2, 1)).isclose(-phi.evaluate((1, 2)))
+    assert isclose(phi.evaluate((2, 1)), -phi.evaluate((1, 2)))
     assert phi.evaluate((1, 1)).is_zero
     # phi(2,4) = -e^{i pi/2}, so the swapped evaluation is e^{i pi/2}
-    assert phi.evaluate((4, 2)).isclose(Phase.from_angle_over_pi(0.5))
+    assert isclose(phi.evaluate((4, 2)), Phase.from_angle_over_pi(0.5))
     with pytest.raises(IndexOutOfRangeError):
         phi.evaluate((0, 3))
     with pytest.raises(ValueError, match="need 2 indices"):
@@ -133,7 +133,7 @@ def test_gp_violation_detected():
 
 def test_from_matrix_runex(runex_phi):
     assert runex_phi.values[(1, 2, 4)].is_zero
-    assert runex_phi.values[(1, 3, 5)].isclose(Phase.from_angle_over_pi(1.25))
+    assert isclose(runex_phi.values[(1, 3, 5)], Phase.from_angle_over_pi(1.25))
     assert runex_phi.check_gp() == []
 
 
@@ -152,8 +152,8 @@ def test_from_matrix_nonreal2ex_canonical_matrix():
         [0, 1, 1, 1, 1],
     ], dtype=complex))
     phi = from_matrix(m)
-    assert phi.values[(3, 4)].isclose(Phase.from_angle_over_pi(1.75))
-    assert phi.values[(4, 5)].isclose(Phase.from_angle_over_pi(11 / 12))
+    assert isclose(phi.values[(3, 4)], Phase.from_angle_over_pi(1.75))
+    assert isclose(phi.values[(4, 5)], Phase.from_angle_over_pi(11 / 12))
 
 
 def test_from_matrix_rank_deficient():
@@ -356,17 +356,20 @@ def test_gp_needs_the_rows_with_more_than_three_terms():
 def _gp_oracle(phi):
     """The violating (X, Y) pairs of phi, in lex order.  Each row
     (-1)^k phi(X - x_k) phi(x_k, Y), k = 1..r+1, is built on its own from
-    Phirotope.values and sort_with_sign; the rows are then judged in one call
-    of the kernel, which treats every row on its own."""
+    complex units of ``Phirotope.angles``, found by each basis's position in
+    ``itertools.combinations``, and sort_with_sign; the rows are then judged
+    in one call of the kernel, which treats every row on its own."""
     ground = range(1, phi.n + 1)
+    position = {b: k for k, b in enumerate(itertools.combinations(ground, phi.r))}
+    units = np.where(np.isnan(phi.angles), 0j, np.exp(1j * np.nan_to_num(phi.angles)))
     pairs, rows = [], []
     for x in itertools.combinations(ground, phi.r + 1):
         for y in itertools.combinations(ground, phi.r - 1):
             first, second = [], []
             for k, xk in enumerate(x):
-                first.append((-1) ** (k + 1) * unit(phi.values[x[:k] + x[k + 1:]]))
+                first.append((-1) ** (k + 1) * units[position[x[:k] + x[k + 1:]]])
                 srt, sign = sort_with_sign((xk,) + y)
-                second.append(0j if sign == 0 else sign * unit(phi.values[srt]))
+                second.append(0j if sign == 0 else sign * units[position[srt]])
             pairs.append((x, y))
             rows.append(np.array(first) * np.array(second))
     if not rows:
@@ -438,6 +441,7 @@ def test_lex_rank_is_the_position_in_combinations(n):
         subsets = list(itertools.combinations(range(1, n + 1), r))
         ranks = _lex_rank(np.array(subsets), n)
         assert ranks.tolist() == list(range(len(subsets))), (n, r)
+        assert [_basis_rank(b, n) for b in subsets] == list(range(len(subsets))), (n, r)
 
 
 def test_check_gp_memory_is_bounded_by_the_block():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from phasedmatroids import (
+    DEFAULT_TOLERANCE,
     ComplexMatrix,
     DegenerateTriangleError,
     EssentiallyOrientedError,
@@ -38,7 +39,7 @@ from phasedmatroids.cli import run
 from phasedmatroids.realization import ESSENTIALLY_ORIENTED, NOT_A_PHIROTOPE, NOT_UNIFORM
 
 from conftest import FIXTURES
-from oracles import max_entry_distance, standard_form, unit
+from oracles import isclose, max_entry_distance, standard_form, unit
 
 
 def canonical_of(matrix):
@@ -56,8 +57,8 @@ def test_reconstruct_nonreal2ex(nonreal2ex_phi):
 def test_verify_witness_nonreal2ex(nonreal2ex_phi):
     w = verify(nonreal2ex_phi, reconstruct(canonicalize(nonreal2ex_phi)))
     assert w.basis == (4, 5)
-    assert w.expected.isclose(Phase.from_angle_over_pi(5 / 6))
-    assert w.computed.isclose(Phase.from_angle_over_pi(11 / 12))
+    assert isclose(w.expected, Phase.from_angle_over_pi(5 / 6))
+    assert isclose(w.computed, Phase.from_angle_over_pi(11 / 12))
 
 
 def test_reconstruct_rejects_an_unpinned_result(nonreal2ex_phi):
@@ -76,7 +77,7 @@ def test_verify_and_decide_answer_above_the_from_matrix_cap():
     decision answer on it."""
     rng = np.random.default_rng(52)
     m = ComplexMatrix.from_complex(rng.normal(size=(2, 400)) + 1j * rng.normal(size=(2, 400)))
-    phi = Phirotope(400, 2, minor_phases(m), validate=False)
+    phi = Phirotope._from_angles(400, 2, minor_phases(m), DEFAULT_TOLERANCE)
     assert len(phi.values) > MAX_MATRIX_MINORS
     assert verify(phi, m) is None
     assert isinstance(decide_realizability(phi), Realizable)
