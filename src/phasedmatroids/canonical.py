@@ -207,7 +207,8 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     deltas = [first_angle - entry_phase(phi, i, j).angle for (i, j) in forest.edges]
     rho_angle = tree_potentials(n, forest.edges, deltas, min(r + 1, n))
     rho = Rephasing(tuple(Phase.from_angle(rho_angle[k]) for k in range(1, n + 1)))
-    alpha = Phase.from_angle(-first_angle - sum(rho_angle[k] for k in range(1, r + 1)))
+    # 0.0 - x is -x except that it gives 0.0, not -0.0, for x = 0.0
+    alpha = Phase.from_angle(0.0 - first_angle - sum(rho_angle[k] for k in range(1, r + 1)))
     scaled = scale_global(rephase(phi, rho), alpha)
 
     # pinned values are assigned exactly, not left to float accumulation

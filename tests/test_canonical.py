@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ def test_canonicalize_idempotent(nonreal2ex_phi):
     assert all(isclose(p, Phase(0.0)) for p in result.rho.rho)
     assert isclose(result.global_phase, Phase(0.0))
     assert result.canonical.max_angular_distance(nonreal2ex_phi) < 1e-12
+
+
+@pytest.mark.parametrize("name, commands", [
+    ("nonreal2ex_phirotope.json", ["canonicalize"]),
+    ("realizable_rank3_phirotope.json", ["canonicalize", "realize"]),
+])
+def test_an_already_canonical_input_has_global_phase_positive_zero(capsys, name, commands):
+    """The global phase of an input that needs none is 0.0, not -0.0, so the
+    report prints "angle_over_pi": 0.0."""
+    phi = phirotope_from_json(load_fixture(name), DEFAULT_TOLERANCE)
+    assert math.copysign(1.0, canonicalize(phi).global_phase.angle) == 1.0
+    for command in commands:
+        run([command, "--input", str(FIXTURES / name)])
+        assert '"global_phase":{"angle_over_pi":0.0}' in capsys.readouterr().out
 
 
 def test_canonicalize_invariants_random():
