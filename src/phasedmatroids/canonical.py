@@ -9,6 +9,7 @@ decides essential orientability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,16 +22,8 @@ from .errors import (
     PhasedMatroidError,
 )
 from .matrices import _is_integer
-from .phases import VERIFY_TOLERANCE, Phase, _circular_distance_array
-from .phirotopes import (
-    Phirotope,
-    Rephasing,
-    _bases,
-    _basis_rank,
-    _phase,
-    rephase,
-    scale_global,
-)
+from .phases import VERIFY_TOLERANCE, Phase, _circular_distance_array, _normalize_array
+from .phirotopes import Phirotope, Rephasing, _bases, _lex_rank, _phase, rephase, scale_global
 
 
 def entry_phase(phi: Phirotope, i: int, j: int) -> Phase:
@@ -61,10 +54,26 @@ def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
     return phi.evaluate(indices)
 
 
-def _exchange_rank(r: int, n: int, i: int, j: int) -> int:
-    """The lex rank of the r-subset {1..r} - {i} + {j}, i <= r < j."""
+@functools.lru_cache(maxsize=8)
+def _exchange_ranks(r: int, n: int) -> np.ndarray:
+    """The lex rank of the r-subset {1..r} - {i} + {j} at [i - 1, j - r - 1],
+    for every i <= r < j; read-only."""
     first = tuple(range(1, r + 1))
-    return _basis_rank(first[:i - 1] + first[i:] + (j,), n)
+    bases = [first[:i - 1] + first[i:] + (j,) for i in first for j in range(r + 1, n + 1)]
+    ranks = _lex_rank(np.array(bases, dtype=np.intp).reshape(-1, r), n).reshape(r, n - r)
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _entry_angles(phi: Phirotope) -> np.ndarray:
+    """The angle of ``entry_phase(phi, i, j)`` at [i - 1, j - r - 1] for every
+    i <= r < j, NaN for zero, bit for bit: phi on {1..r} - {i} + {j}, turned
+    by pi where r - i, the sign of moving j from place i to place r, is odd."""
+    r = phi.r
+    angles = phi.angles[_exchange_ranks(r, phi.n)]
+    odd = (r - np.arange(1, r + 1)) % 2 == 1
+    angles[odd] = _normalize_array(angles[odd] + math.pi)
+    return angles
 
 
 def associated_bipartite_graph(phi: Phirotope) -> frozenset:
@@ -85,8 +94,8 @@ def associated_bipartite_graph(phi: Phirotope) -> frozenset:
     r, n = phi.r, phi.n
     if math.isnan(phi.angles[0]):  # {1..r} is the first basis in lex order
         raise FirstSubsetNotBasisError("{1..r} must be a basis")
-    return frozenset((i, j) for i in range(1, r + 1) for j in range(r + 1, n + 1)
-                     if not math.isnan(phi.angles[_exchange_rank(r, n, i, j)]))
+    nonzero = ~np.isnan(phi.angles[_exchange_ranks(r, n)])
+    return frozenset((i + 1, j + r + 1) for i, j in np.argwhere(nonzero).tolist())
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,8 @@ def _tree_targets(r: int, n: int, forest: SpanningForest) -> tuple:
     {1..r} -> 0, and {1..r}-{i}+{j} -> pi*(r-i) mod 2*pi for every forest
     edge (i, j), the value that makes entry (i, j) of a standard-form
     realization phase 1."""
-    ranks = [0] + [_exchange_rank(r, n, i, j) for i, j in forest.edges]
+    exchange = _exchange_ranks(r, n)
+    ranks = [0] + [exchange[i - 1, j - r - 1] for i, j in forest.edges]
     targets = [0.0] + [0.0 if (r - i) % 2 == 0 else math.pi for i, _ in forest.edges]
     return np.array(ranks, dtype=np.intp), np.array(targets)
 
@@ -204,7 +214,8 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
 
     first_angle = phi.angles.item(0)  # the value on {1..r}
     # tree edge (i, j) forces rho[j] - rho[i] = ang(phi(1..r)) - ang(entry_phase)
-    deltas = [first_angle - entry_phase(phi, i, j).angle for (i, j) in forest.edges]
+    entries = _entry_angles(phi)
+    deltas = [first_angle - entries.item(i - 1, j - r - 1) for (i, j) in forest.edges]
     rho_angle = tree_potentials(n, forest.edges, deltas, min(r + 1, n))
     rho = Rephasing(tuple(Phase.from_angle(rho_angle[k]) for k in range(1, n + 1)))
     # 0.0 - x is -x except that it gives 0.0, not -0.0, for x = 0.0

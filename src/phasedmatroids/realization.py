@@ -20,8 +20,8 @@ import numpy as np
 from .canonical import (
     CanonicalizationResult,
     _scan_forest,
+    _entry_angles,
     canonicalize,
-    entry_phase,
     is_real_valued,
     minor_phase,
     _pinned_on,
@@ -118,7 +118,8 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
     if not (is_uniform(canonical) and _pinned_on(canonical, canon.forest)):
         raise NotCanonicalError("reconstruction requires a uniform canonical phirotope")
 
-    alpha = {(i, j): entry_phase(canonical, i, j)
+    entries = _entry_angles(canonical)
+    alpha = {(i, j): Phase(entries.item(i - 1, j - r - 1))
              for i in range(1, r + 1) for j in range(r + 1, n + 1)}
     free = [(i, j) for i in range(1, r) for j in range(r + 2, n + 1)]
     real = {key: alpha[key].is_real(canonical.tolerance) for key in free}
@@ -148,8 +149,7 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
         _solve_entry(canonical, alpha, norms, i, m, j, k)
 
     angles = np.zeros((r, n))
-    for (i, j), p in alpha.items():
-        angles[i - 1, j - 1] = p.angle
+    angles[:, r:] = entries
     return ComplexMatrix(norms, angles)
 
 

@@ -6,6 +6,7 @@ and the same witness basis."""
 
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -18,12 +19,14 @@ from phasedmatroids import (
     Phase,
     Phirotope,
     Rephasing,
+    entry_phase,
     from_matrix,
     rephase,
     scale_global,
     verify,
 )
-from phasedmatroids.canonical import is_real_valued
+from phasedmatroids.canonical import _entry_angles, is_real_valued
+from phasedmatroids.cli import run
 from phasedmatroids.jsonio import phase_to_json, phirotope_from_json, phirotope_to_json
 from phasedmatroids.matrices import all_maximal_minors
 from phasedmatroids.phases import DEFAULT_TOLERANCE, TAU, _normalize, _normalize_array
@@ -134,6 +137,19 @@ def test_is_real_valued_and_verify_match_the_phase_loop(case):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=cases())
+def test_entry_angles_are_entry_phase_bit_for_bit(case):
+    """The forced entry phases that the forest, canonicalize and reconstruct
+    read as one array are ``entry_phase``, which goes through ``evaluate``."""
+    phi, _ = case
+    r, n = phi.r, phi.n
+    entries = _entry_angles(phi)
+    assert entries.shape == (r, n - r)
+    for i, j in itertools.product(range(1, r + 1), range(r + 1, n + 1)):
+        assert _same(entries.item(i - 1, j - r - 1), entry_phase(phi, i, j)), (i, j)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=cases())
 def test_json_emit_and_parse_match_the_phase_loop(case):
     """``phirotope_to_json`` writes what ``phase_to_json`` writes for each
     value, and ``phirotope_from_json`` reads back ``Phase.from_angle`` of
@@ -180,3 +196,18 @@ def test_minor_phases_keep_the_bits_of_cmath_phase():
     if not differ.size:
         pytest.skip("np.angle and cmath.phase agree on every minor on this platform")
     assert (got[differ] != vectorized[differ]).all()
+
+
+def test_realize_builds_fewer_phases_than_bases(monkeypatch, tmp_path):
+    """Parse, canonicalize, reconstruct, verify and emit of a Realizable (5, 11)
+    request build Phase objects only at the API boundary (forest entries,
+    rho, triangle equations), not one per basis: fewer than its 462 bases."""
+    rng = np.random.default_rng(5)
+    phi = from_matrix(ComplexMatrix.from_complex(_gaussian(rng, 5, 11)))
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(phirotope_to_json(phi)))
+    built = []
+    check = Phase.__post_init__
+    monkeypatch.setattr(Phase, "__post_init__", lambda p: (built.append(1), check(p)))
+    assert run(["realize", "--input", str(path)]) == 0
+    assert 0 < len(built) < math.comb(11, 5)
