@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +45,11 @@ from .phases import (
 #: (X, Y) pairs per kernel call of ``Phirotope.check_gp``.  The sweep holds one
 #: block of terms at a time, so its memory is bounded by (r+1) times this.
 GP_BLOCK_COLUMNS = 2**14
+
+#: Most (X, Y) pairs one ``Phirotope.check_gp`` call sweeps.  Blocking bounds
+#: the sweep's memory and this bounds its time: C(16, 7) * C(16, 5), about
+#: 5e7 pairs, takes seconds.
+MAX_GP_PAIRS = 2**24
 
 #: Most values ``from_matrix`` computes: its C(n, r) values can far outgrow the
 #: matrix it reads, while a phirotope input already lists its values.
@@ -78,8 +83,16 @@ def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     ``subsets``, in the order of ``itertools.combinations(range(1, n + 1), s)``:
     C(n, s) - 1 - sum_i C(n - c_i, s - i + 1), with 1-based c_i and i."""
     s = subsets.shape[-1]
-    binom = np.array([[math.comb(a, b) for b in range(s + 1)] for a in range(n + 1)])
+    binom = _binomials(n, s)
     return binom[n, s] - 1 - binom[n - subsets, np.arange(s, 0, -1)].sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=32)
+def _binomials(n: int, s: int) -> np.ndarray:
+    """C(a, b) at [a, b] for a <= n and b <= s; read-only."""
+    binom = np.array([[math.comb(a, b) for b in range(s + 1)] for a in range(n + 1)])
+    binom.flags.writeable = False
+    return binom
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,108 @@ def _bases(n: int, r: int) -> np.ndarray:
     bases = np.fromiter(flat, dtype=np.intp, count=math.comb(n, r) * r).reshape(-1, r)
     bases.flags.writeable = False
     return bases
+
+
+def _gp_rectangles(n: int, r: int, touching):
+    """The (X, Y) pairs ``Phirotope.check_gp`` sweeps and their count.
+
+    The pairs come as a lazy sequence of rectangles (xs, ys), no pair in two:
+    the X in the rows of xs, an array of sorted (r+1)-subsets, by the Y that
+    ys (a slice or an index array) picks from the lex-ordered (r-1)-subsets.
+    Every pair is swept, X in lex order and blocks of ``GP_BLOCK_COLUMNS``,
+    unless ``touching`` marks a set D of bases small enough that
+    |D| * ((n-r) C(n, r-1) + r C(n-1, r)), which bounds the pairs with a term
+    on D, is below the full count C(n, r+1) C(n, r-1); then only those pairs.
+    """
+    ny = math.comb(n, r - 1)
+    total = math.comb(n, r + 1) * ny
+    if touching is not None:
+        touching = np.asarray(touching, dtype=bool)
+        if touching.sum() * ((n - r) * ny + r * math.comb(n - 1, r)) < total:
+            return _touching_rectangles(touching, n, r, ny)
+    xsubs = itertools.combinations(range(1, n + 1), r + 1)
+    step = max(1, GP_BLOCK_COLUMNS // ny)
+    blocks = iter(lambda: list(itertools.islice(xsubs, step)), [])
+    return ((np.array(block), slice(None)) for block in blocks), total
+
+
+def _touching_rectangles(touching: np.ndarray, n: int, r: int, ny: int):
+    """``_gp_rectangles`` for the pairs with a term on a basis B in D:
+    phi(X minus x_k) reads B when X = B + {a}, which takes every Y, and
+    phi(x_k, Y) reads B when Y = B - {e} and x_k = e.  So the pairs are X in
+    S_A = {B + {a}} with every Y, and, outside S_A, each Y with the X that
+    meet E_Y = {e : Y + {e} in D}; Y with the same E_Y share a rectangle."""
+    bases = _bases(n, r)
+    d = bases[touching]
+    # S_A: B + {a} for each a not in B, each X once, keyed by its lex rank
+    rows, a = np.nonzero(~(d[:, :, None] == np.arange(1, n + 1)).any(axis=1))
+    xa = _inserted(d[rows], a + 1)
+    in_a = dict(zip(_lex_rank(xa, n).tolist(), range(len(xa))))
+    xa = xa[list(in_a.values())]
+    # E_Y for each Y = B - {e}, then the Y of each E_Y
+    ys = {}
+    for k in range(r):
+        for y, e in zip(_lex_rank(np.delete(d, k, axis=1), n).tolist(), d[:, k].tolist()):
+            ys.setdefault(y, set()).add(e)
+    groups = {}
+    for y, es in sorted(ys.items()):
+        groups.setdefault(tuple(sorted(es)), []).append(y)
+    # X meeting E: C(n, r+1) - C(n - |E|, r+1), less those in S_A
+    count = len(xa) * ny + sum(
+        (math.comb(n, r + 1) - math.comb(n - len(es), r + 1) - int(_meets(xa, es).sum()))
+        * len(yg) for es, yg in groups.items())
+
+    def rectangles():
+        step = max(1, GP_BLOCK_COLUMNS // ny)
+        for i in range(0, len(xa), step):
+            yield xa[i:i + step], slice(None)
+        for es, yg in groups.items():
+            # X meeting E, each once: e, its least element of E, plus an
+            # r-subset avoiding e and the smaller elements of E
+            parts = []
+            for i, e in enumerate(es):
+                others = bases[~_meets(bases, es[:i + 1])]
+                parts.append(_inserted(others, np.full(len(others), e)))
+            xs = np.concatenate(parts)
+            xs = xs[np.fromiter((x not in in_a for x in _lex_rank(xs, n).tolist()),
+                                dtype=bool, count=len(xs))]
+            step = max(1, GP_BLOCK_COLUMNS // len(yg))
+            for i in range(0, len(xs), step):
+                yield xs[i:i + step], np.array(yg)
+
+    return rectangles(), count
+
+
+def _inserted(subsets: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Each sorted row of subsets with e, one element per row and not in it,
+    inserted in order."""
+    at = (subsets < e[:, None]).sum(axis=1, keepdims=True)
+    cols = np.arange(subsets.shape[1] + 1)
+    pad = np.zeros((len(subsets), 1), dtype=subsets.dtype)
+    return np.where(cols < at, np.hstack([subsets, pad]),
+                    np.where(cols == at, e[:, None], np.hstack([pad, subsets])))
+
+
+def _meets(subsets: np.ndarray, elements) -> np.ndarray:
+    """Whether each row of subsets holds one of the elements."""
+    return (subsets[:, :, None] == np.asarray(elements)).any(axis=(1, 2))
+
+
+def _gp_blocks(rectangles, every_y: np.ndarray):
+    """Consecutive rectangles (xs, ys) in blocks of at most ``GP_BLOCK_COLUMNS``
+    pairs, a rectangle alone when it has more.  Yields (block, pair count),
+    each rectangle of a block as (xs, ys, the Y indices ``every_y[ys]``)."""
+    block, width = [], 0
+    for xs, ys in rectangles:
+        ycols = every_y[ys]
+        size = len(xs) * len(ycols)
+        if block and width + size > GP_BLOCK_COLUMNS:
+            yield block, width
+            block, width = [], 0
+        block.append((xs, ys, ycols))
+        width += size
+    if block:
+        yield block, width
 
 
 def _basis_rank(basis: Sequence[int], n: int) -> int:
@@ -206,47 +321,68 @@ class Phirotope:
         p = _phase(self.angles.item(_basis_rank(srt, self.n)))
         return p if sign > 0 else -p
 
-    def check_gp(self):
-        """All (X, Y) pairs violating the Grassmann-Pluecker relations.
+    def check_gp(self, touching: Optional[np.ndarray] = None):
+        """The (X, Y) pairs violating the Grassmann-Pluecker relations.
 
         X ranges over sorted (r+1)-subsets and Y over sorted (r-1)-subsets of
-        [n]; the result is lexicographically sorted and empty iff the map is a
-        valid phirotope.  X is swept in lex order, about ``GP_BLOCK_COLUMNS``
-        pairs per kernel call, and each block's X side is built on its own,
-        so memory does not grow with the pair count.  A term's angle is the
-        sum of two stored angles, each with its sign folded in as +-pi; NaN
-        stands for a zero value and carries through the sums.
+        [n]; the result is lexicographically sorted.  Without ``touching`` every
+        pair is swept, and the result is empty iff the map is a valid
+        phirotope.  ``touching`` is a boolean mask D over the bases in lex
+        order: then only the pairs with a term that reads a basis in D are
+        swept, unless |D| times the pairs one basis can touch reaches the full
+        count, when every pair is (``_gp_rectangles``).
+
+        The pairs go to the kernel in blocks of at most ``GP_BLOCK_COLUMNS``
+        (one X and all its Y when those are more), each built on its own, so
+        memory does not grow with the pair count.  Above ``MAX_GP_PAIRS``
+        swept pairs, raises :class:`PhasedMatroidError` before building any
+        table.  A term's angle is the sum of two stored angles, each with its
+        sign folded in as +-pi; NaN stands for a zero value and carries
+        through the sums.
         """
         n, r = self.n, self.r
-        ground = range(1, n + 1)
+        if touching is not None and np.shape(touching) != self.angles.shape:
+            raise ValueError(f"touching must mark each of the {self.angles.size} bases")
+        rectangles, pairs = _gp_rectangles(n, r, touching)
+        if pairs > MAX_GP_PAIRS:
+            raise PhasedMatroidError(
+                f"{pairs} Grassmann-Pluecker pairs exceed the cap of {MAX_GP_PAIRS}")
         ang = self.angles
         neg = ang + math.pi  # the angles of -phi, in [0, 2*pi) like ang
         neg -= TAU * (neg >= TAU)
         # ey[e, Y] = angle of phi(e, *Y), NaN when e is in Y; row 0 is unused.
         # When Y is the basis b without its k-th element e, phi(e, *Y) = (-1)^k phi(b).
-        ysubs = list(itertools.combinations(ground, r - 1))
-        ny = len(ysubs)
+        ysubs = list(itertools.combinations(range(1, n + 1), r - 1))
+        every_y = np.arange(len(ysubs))
         bases = _bases(n, r)
-        ey = np.full((n + 1, ny), math.nan)
+        ey = np.full((n + 1, len(ysubs)), math.nan)
         for k in range(r):
             ey[bases[:, k], _lex_rank(np.delete(bases, k, axis=1), n)] = neg if k % 2 else ang
-        # X in blocks of about GP_BLOCK_COLUMNS pairs; terms[k, X, Y] in C order,
-        # so that a block is an (r+1, pairs) kernel input without a copy
         drop = [[j for j in range(r + 1) if j != k] for k in range(r + 1)]
-        xsubs = itertools.combinations(ground, r + 1)
-        step = max(1, GP_BLOCK_COLUMNS // ny)
         bad = []
-        while block := list(itertools.islice(xsubs, step)):
-            xs = np.array(block)
-            rank = _lex_rank(xs[:, drop], n)  # rank[X, k]: X minus its k-th element
-            terms = np.empty((r + 1, len(block), ny))
-            for k in range(r + 1):
-                # the term's sign (-1)^(k+1) goes with phi(X minus x_k)
-                dx = (neg if k % 2 == 0 else ang)[rank[:, k]]
-                np.add(dx[:, None], ey[xs[:, k]], out=terms[k])
+        for block, width in _gp_blocks(rectangles, every_y):
+            # terms[k, pair]; a rectangle's pairs are consecutive, X-major
+            terms = np.empty((r + 1, width))
+            spans, start = [], 0
+            for xs, ys, ycols in block:
+                rank = _lex_rank(xs[:, drop], n)  # rank[X, k]: X minus its k-th element
+                eyc = ey[:, ys]
+                stop = start + len(xs) * len(ycols)
+                for k in range(r + 1):
+                    # the term's sign (-1)^(k+1) goes with phi(X minus x_k)
+                    dx = (neg if k % 2 == 0 else ang)[rank[:, k]]
+                    np.add(dx[:, None], eyc[xs[:, k]], out=terms[k, start:stop].reshape(len(xs), -1))
+                spans.append((start, stop, xs, ycols))
+                start = stop
             terms -= TAU * (terms >= TAU)
-            ok = zero_in_hypersum_batch(terms.reshape(r + 1, -1), self.tolerance.eps)
-            bad.extend((block[i // ny], ysubs[i % ny]) for i in np.flatnonzero(~ok).tolist())
+            ok = zero_in_hypersum_batch(terms, self.tolerance.eps)
+            if ok.all():
+                continue
+            for start, stop, xs, ycols in spans:
+                if hits := np.flatnonzero(~ok[start:stop]).tolist():
+                    rows, ys, w = list(map(tuple, xs.tolist())), ycols.tolist(), len(ycols)
+                    bad.extend((rows[i // w], ysubs[ys[i % w]]) for i in hits)
+        bad.sort()
         return bad
 
     def __eq__(self, other):

@@ -12,7 +12,7 @@ reproduces it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -46,11 +46,17 @@ DISCONNECTED = "disconnected"
 
 @dataclass(frozen=True)
 class Witness:
-    """A basis where a candidate matrix disagrees with the phirotope."""
+    """A basis where a candidate matrix disagrees with the phirotope.
+
+    ``disagreeing`` marks every such basis, one read-only bool per basis in
+    lex order, when the witness comes from ``verify``; it takes no part in
+    comparison or repr.
+    """
 
     basis: tuple
     expected: Phase
     computed: Phase
+    disagreeing: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,9 @@ def verify(phi: Phirotope, m: ComplexMatrix) -> Optional[Witness]:
     """Compare every value of phi with the minor phases of m, within
     ``VERIFY_TOLERANCE``.
 
-    Returns the lexicographically first mismatching basis as a witness, or
-    ``None`` when the matrix realizes the phirotope.
+    Returns the lexicographically first mismatching basis as a witness, with
+    every mismatch marked in its ``disagreeing``, or ``None`` when the matrix
+    realizes the phirotope.
     """
     if m.rows != phi.r or m.cols != phi.n:
         raise ValueError("matrix dimensions do not match the phirotope")
@@ -168,9 +175,11 @@ def verify(phi: Phirotope, m: ComplexMatrix) -> Optional[Witness]:
                      _circular_distance_array(expected, computed) < VERIFY_TOLERANCE.eps)
     if agree.all():
         return None
-    k = np.argmin(agree)  # the first mismatch
+    disagreeing = ~agree
+    disagreeing.flags.writeable = False
+    k = np.argmax(disagreeing)  # the first mismatch
     return Witness(tuple(_bases(phi.n, phi.r)[k].tolist()),
-                   _phase(expected.item(k)), _phase(computed.item(k)))
+                   _phase(expected.item(k)), _phase(computed.item(k)), disagreeing)
 
 
 def _decide_from_reconstruction(phi: Phirotope) -> RealizabilityVerdict:
@@ -206,9 +215,14 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
     Grassmann-Pluecker relations, because the minors of a matrix satisfy them;
     so the GP sweep (``Phirotope.check_gp``, in blocks of bounded memory)
     runs only when the pipeline ends in another verdict or raises a
-    ``PhasedMatroidError``.  A GP violation then gives
-    ``Unsupported(NOT_A_PHIROTOPE)``; otherwise the pipeline's verdict stands,
-    or its error is raised again.
+    ``PhasedMatroidError``.  After a failed verification the matrix still
+    certifies every relation that reads only bases where it agrees with the
+    canonical phirotope, since GP is invariant under rephasing; so that
+    sweep reads only the relations with a term on a basis of the witness's
+    ``disagreeing`` set (all of them when that set is large).  Every other
+    outcome sweeps all pairs.  A GP violation then gives
+    ``Unsupported(NOT_A_PHIROTOPE)``, with the swept count of violations;
+    otherwise the pipeline's verdict stands, or its error is raised again.
     """
     try:
         verdict = _decide_from_reconstruction(phi)
@@ -216,7 +230,10 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
         verdict = exc
     if isinstance(verdict, Realizable):
         return verdict
-    violations = phi.check_gp()
+    touching = None
+    if isinstance(verdict, NotRealizable) and verdict.witness is not None:
+        touching = verdict.witness.disagreeing
+    violations = phi.check_gp(touching)
     if violations:
         x, y = violations[0]
         return Unsupported(NOT_A_PHIROTOPE,

@@ -238,3 +238,18 @@ def verify_reference(phi, m):
         if not isclose(expected, computed[basis], VERIFY_TOLERANCE):
             return basis, expected, computed[basis]
     return None
+
+
+def gp_pairs_touching(n, r, disagreeing):
+    """Every (X, Y) pair of the Grassmann-Pluecker sweep with a term on a
+    basis in ``disagreeing`` (sorted r-subsets), in lex order of (X, Y):
+    phi(X minus x_k), or phi(x_k, Y) with x_k not in Y, is such a basis."""
+    touched = {tuple(sorted(b)) for b in disagreeing}
+    pairs = []
+    for x in itertools.combinations(range(1, n + 1), r + 1):
+        for y in itertools.combinations(range(1, n + 1), r - 1):
+            terms = [tuple(sorted(set(x) - {e})) for e in x]
+            terms += [tuple(sorted(y + (e,))) for e in x if e not in y]
+            if any(t in touched for t in terms):
+                pairs.append((x, y))
+    return sorted(pairs)

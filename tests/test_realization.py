@@ -1,6 +1,7 @@
 """Reconstruction, verification, realizability decisions and the tree scaling."""
 
 import cmath
+import itertools
 import json
 import math
 import re
@@ -382,12 +383,13 @@ def test_pipeline_error_is_raised_only_when_gp_holds(monkeypatch, nonreal2ex_phi
 
 
 def test_check_gp_runs_only_off_the_realizable_path(monkeypatch, runex_phi, nonreal2ex_phi):
-    calls = []
+    calls, restricted = [], []
     check_gp = Phirotope.check_gp
 
-    def counted(phi):
+    def counted(phi, touching=None):
         calls.append(phi)
-        return check_gp(phi)
+        restricted.append(None if touching is None else _marked(phi, touching))
+        return check_gp(phi, touching)
 
     monkeypatch.setattr(Phirotope, "check_gp", counted)
     rng = np.random.default_rng(49)
@@ -400,19 +402,31 @@ def test_check_gp_runs_only_off_the_realizable_path(monkeypatch, runex_phi, nonr
              (runex_phi, NOT_UNIFORM, 1), (oriented, ESSENTIALLY_ORIENTED, 1),
              (Phirotope(7, 3, invalid_values, validate=False), NOT_A_PHIROTOPE, 1),
              (_degenerate_gp_invalid_phirotope(), NOT_A_PHIROTOPE, 1)]
+    # only the witness path passes the bases where the matrix disagrees
+    touched = {id(nonreal2ex_phi): [[(4, 5)]]}
     for phi, expected, gp_calls in cases:
         calls.clear()
+        restricted.clear()
         verdict = decide_realizability(phi)
         if isinstance(expected, str):
             assert isinstance(verdict, Unsupported) and verdict.reason == expected
         else:
             assert isinstance(verdict, expected)
         assert calls == [phi] * gp_calls
+        assert restricted == touched.get(id(phi), [None] * gp_calls)
     monkeypatch.setattr(realization, "reconstruct", _raise_degenerate)
     calls.clear()
+    restricted.clear()
     with pytest.raises(DegenerateTriangleError):
         decide_realizability(nonreal2ex_phi)
     assert calls == [nonreal2ex_phi]
+    assert restricted == [None]
+
+
+def _marked(phi, mask):
+    """The bases a mask over phi's bases in lex order marks."""
+    bases = itertools.combinations(range(1, phi.n + 1), phi.r)
+    return [b for b, marked in zip(bases, mask) if marked]
 
 
 def _gp_first(phi):
