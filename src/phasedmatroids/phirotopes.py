@@ -360,9 +360,12 @@ class Phirotope:
             ey[bases[:, k], _lex_rank(np.delete(bases, k, axis=1), n)] = neg if k % 2 else ang
         drop = [[j for j in range(r + 1) if j != k] for k in range(r + 1)]
         bad = []
+        # one buffer for every block that fits, so that the blocks do not
+        # allocate and fault in fresh pages one after another
+        buffer = np.empty((r + 1, min(pairs, GP_BLOCK_COLUMNS)))
         for block, width in _gp_blocks(rectangles, every_y):
             # terms[k, pair]; a rectangle's pairs are consecutive, X-major
-            terms = np.empty((r + 1, width))
+            terms = buffer[:, :width] if width <= buffer.shape[1] else np.empty((r + 1, width))
             spans, start = [], 0
             for xs, ys, ycols in block:
                 rank = _lex_rank(xs[:, drop], n)  # rank[X, k]: X minus its k-th element
