@@ -158,12 +158,12 @@ def _touching_rectangles(touching: np.ndarray, n: int, r: int, ny: int):
     in_a = dict(zip(_lex_rank(xa, n).tolist(), range(len(xa))))
     xa = xa[list(in_a.values())]
     # E_Y for each Y = B - {e}, then the Y of each E_Y
-    ys = {}
+    e_of_y = {}
     for k in range(r):
         for y, e in zip(_lex_rank(np.delete(d, k, axis=1), n).tolist(), d[:, k].tolist()):
-            ys.setdefault(y, set()).add(e)
+            e_of_y.setdefault(y, set()).add(e)
     groups = {}
-    for y, es in sorted(ys.items()):
+    for y, es in sorted(e_of_y.items()):
         groups.setdefault(tuple(sorted(es)), []).append(y)
     # X meeting E: C(n, r+1) - C(n - |E|, r+1), less those in S_A
     count = len(xa) * ny + sum(
@@ -333,12 +333,12 @@ class Phirotope:
         count, when every pair is (``_gp_rectangles``).
 
         The pairs go to the kernel in blocks of at most ``GP_BLOCK_COLUMNS``
-        (one X and all its Y when those are more), each built on its own, so
-        memory does not grow with the pair count.  Above ``MAX_GP_PAIRS``
-        swept pairs, raises :class:`PhasedMatroidError` before building any
-        table.  A term's angle is the sum of two stored angles, each with its
-        sign folded in as +-pi; NaN stands for a zero value and carries
-        through the sums.
+        (one X and all its Y when those are more), each built in turn into
+        one buffer, so memory does not grow with the pair count.  Above
+        ``MAX_GP_PAIRS`` swept pairs, raises :class:`PhasedMatroidError`
+        before building any table.  A term's angle is the sum of two stored
+        angles, each with its sign folded in as +-pi; NaN stands for a zero
+        value and carries through the sums.
         """
         n, r = self.n, self.r
         if touching is not None and np.shape(touching) != self.angles.shape:
@@ -374,7 +374,8 @@ class Phirotope:
                 for k in range(r + 1):
                     # the term's sign (-1)^(k+1) goes with phi(X minus x_k)
                     dx = (neg if k % 2 == 0 else ang)[rank[:, k]]
-                    np.add(dx[:, None], eyc[xs[:, k]], out=terms[k, start:stop].reshape(len(xs), -1))
+                    np.add(dx[:, None], eyc[xs[:, k]],
+                           out=terms[k, start:stop].reshape(len(xs), -1))
                 spans.append((start, stop, xs, ycols))
                 start = stop
             terms -= TAU * (terms >= TAU)

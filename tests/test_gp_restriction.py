@@ -94,6 +94,12 @@ def test_witness_marks_every_disagreeing_basis():
     assert witness == type(witness)(witness.basis, witness.expected, witness.computed)
 
 
+def test_touching_must_mark_every_basis():
+    phi = from_matrix(_gaussian(np.random.default_rng(3), 2, 5))
+    with pytest.raises(ValueError, match="each of the 10 bases"):
+        phi.check_gp(np.ones(9, dtype=bool))
+
+
 def _swept_pairs(n, r, touching):
     """The (X, Y) pairs of ``_gp_rectangles``, in the order it gives them."""
     ysubs = list(itertools.combinations(range(1, n + 1), r - 1))
