@@ -10,6 +10,7 @@ decides essential orientability.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,40 @@ def _exchange_ranks(r: int, n: int) -> np.ndarray:
     ranks = _lex_rank(np.array(bases, dtype=np.intp).reshape(-1, r), n).reshape(r, n - r)
     ranks.flags.writeable = False
     return ranks
+
+
+@functools.lru_cache(maxsize=8)
+def _minor_ranks(r: int, n: int) -> np.ndarray:
+    """The lex rank of the r-subset {1..r} - {a, b} + {c, d} at [p, q], for
+    every a < b <= r < c < d, where p is the lex index of (a, b) among the
+    2-subsets of [r] and q that of (c - r, d - r) among those of [n - r];
+    read-only.  Its C(r, 2) C(n - r, 2) distinct subsets are at most C(n, r)."""
+    first = np.arange(1, r + 1)
+    rows = np.array(list(itertools.combinations(first.tolist(), 2)), dtype=np.intp).reshape(-1, 2)
+    cols = np.array(list(itertools.combinations(range(r + 1, n + 1), 2)),
+                    dtype=np.intp).reshape(-1, 2)
+    kept = (first != rows[:, :1]) & (first != rows[:, 1:])
+    keep = np.broadcast_to(first, kept.shape)[kept].reshape(len(rows), r - 2)
+    shape = (len(rows), len(cols))
+    subsets = np.concatenate([np.broadcast_to(keep[:, None], shape + (r - 2,)),
+                              np.broadcast_to(cols[None], shape + (2,))], axis=-1)
+    ranks = _lex_rank(subsets, n)
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _minor_angles(phi: Phirotope, a, b, c, d) -> np.ndarray:
+    """The angle of ``minor_phase(phi, (a, b), (c, d))`` for each entry of
+    the arrays a < b <= r < c < d, NaN for zero, bit for bit: phi on
+    {1..r} - {a, b} + {c, d}, turned by pi where 2r - a - b - 1, the sign of
+    sorting (1..r) with c and d in places a and b, is odd."""
+    r, n = phi.r, phi.n
+    p = _lex_rank(np.stack([a, b], axis=-1), r)
+    q = _lex_rank(np.stack([c, d], axis=-1) - r, n - r)
+    angles = phi.angles[_minor_ranks(r, n)[p, q]]
+    odd = (a + b) % 2 == 0
+    angles[odd] = _normalize_array(angles[odd] + math.pi)
+    return angles
 
 
 def _entry_angles(phi: Phirotope) -> np.ndarray:
@@ -244,12 +279,15 @@ def is_canonical(phi: Phirotope) -> bool:
     return _pinned_on(phi, canonical_spanning_forest(phi))
 
 
+def _real(angles: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each angle is within eps of 0 or pi, as ``Phase.is_real``
+    judges it; False for NaN."""
+    return (_circular_distance_array(angles, 0.0) < eps) | (_circular_distance_array(angles, math.pi) < eps)
+
+
 def is_real_valued(phi: Phirotope) -> bool:
     """True iff every value is 0 or within ``phi.tolerance`` of +1 or -1."""
-    a = phi.angles[~np.isnan(phi.angles)]
-    eps = phi.tolerance.eps
-    return bool(((_circular_distance_array(a, 0.0) < eps)
-                 | (_circular_distance_array(a, math.pi) < eps)).all())
+    return bool(_real(phi.angles[~np.isnan(phi.angles)], phi.tolerance.eps).all())
 
 
 def is_essentially_oriented(phi: Phirotope) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from typing import Any, Optional
 
@@ -19,7 +20,7 @@ from .canonical import CanonicalizationResult, SpanningForest
 from .errors import PhasedMatroidError
 from .matrices import ComplexMatrix, _is_integer
 from .phases import Phase, Tolerance, _normalize_array
-from .phirotopes import Phirotope, Rephasing, _in_lex_order
+from .phirotopes import Phirotope, Rephasing, _lex_rank
 from .realization import (
     NotRealizable,
     Realizable,
@@ -65,17 +66,10 @@ def _phase_angle(obj: Any) -> float:
 
 
 def matrix_to_json(m: ComplexMatrix) -> dict:
-    entries = []
-    for i in range(1, m.rows + 1):
-        row = []
-        for j in range(1, m.cols + 1):
-            norm = m.entry_norm(i, j)
-            if norm == 0.0:
-                row.append(None)
-            else:
-                row.append({"norm": norm,
-                            "angle_over_pi": m.entry_phase(i, j).angle_over_pi})
-        entries.append(row)
+    norms = m.norms.tolist()
+    angles = (_normalize_array(m.angles) / math.pi).tolist()  # each entry's Phase.from_angle
+    entries = [[None if norm == 0.0 else {"norm": norm, "angle_over_pi": angle}
+                for norm, angle in zip(*row)] for row in zip(norms, angles)]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
@@ -132,7 +126,106 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
         raise FormatError("need integers 1 <= r <= n")
     if not isinstance(items, list):
         raise FormatError("values must be a list")
-    values = {}
+    angles = _value_angles(items, n, r)
+    try:
+        return Phirotope._from_angles(n, r, angles, tolerance, validate)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _value_angles(items: list, n: int, r: int) -> np.ndarray:
+    """The angles of the value records in lex order of their bases, normalized.
+
+    The records are checked as whole lists (``_checked_records``), and a
+    list with each sorted r-subset once, C(n, r) records, is scattered into
+    place by lex rank.  Any other list raises :class:`FormatError`: its
+    records are walked one at a time (``_walk_records``) so that the first
+    faulty record or repeated basis in document order names the error, then
+    a list of fewer than n records (one when r = n) is refused, before
+    C(n, r) is computed, and otherwise the first missing basis in lex order
+    is named.
+    """
+    records = _checked_records(items, n, r)
+    if records is not None and len(items) >= (n if r < n else 1):
+        total = math.comb(n, r)
+        if len(items) == total:
+            bases, values = records
+            ranks = _lex_rank(bases, n)
+            seen = np.zeros(total, dtype=bool)
+            seen[ranks] = True
+            if seen.all():  # each basis once
+                angles = np.empty(total)
+                angles[ranks] = values
+                return _normalize_array(angles)
+    keys = _walk_records(items, n, r)
+    if len(keys) < (n if r < n else 1):
+        raise FormatError(f"expected C({n}, {r}) values, got {len(keys)}: "
+                          "every sorted r-subset must appear exactly once")
+    missing = next(b for b in itertools.combinations(range(1, n + 1), r) if b not in keys)
+    raise FormatError(f"missing value for basis {missing}")
+
+
+def _checked_records(items: list, n: int, r: int):
+    """(bases, values) when every record passes the checks of
+    ``_walk_records`` but the duplicate test, else None: bases as an integer
+    array with one row per record, values the ``angle_over_pi`` times pi of
+    each, NaN for a null phase.  None also when n exceeds the integer array's
+    range and some basis element does; such a list is shorter than n."""
+    # a dict of one or two entries that has the keys asked for has no others
+    if not (_all_types(items, dict) and set(map(len, items)) <= {2}):
+        return None
+    try:
+        bases = list(map(operator.itemgetter("basis"), items))
+        phases = list(map(operator.itemgetter("phase"), items))
+    except KeyError:
+        return None
+    if not (_all_types(bases, list) and set(map(len, bases)) <= {r}
+            and _all_types(itertools.chain.from_iterable(bases), (int, np.integer), bool)):
+        return None
+    try:
+        bases = np.fromiter(itertools.chain.from_iterable(bases), dtype=np.int64,
+                            count=len(items) * r).reshape(len(items), r)
+    except OverflowError:
+        return None
+    if not ((bases[:, 1:] > bases[:, :-1]).all()  # sorted, no repeats
+            and (bases[:, 0] >= 1).all() and (bases[:, -1] <= n).all()):
+        return None
+    given = np.fromiter(map(operator.is_not, phases, itertools.repeat(None)), dtype=bool,
+                        count=len(items))
+    phases = list(itertools.compress(phases, given))
+    if not (_all_types(phases, dict) and set(map(len, phases)) <= {1}):
+        return None
+    try:
+        numbers = list(map(operator.itemgetter("angle_over_pi"), phases))
+    except KeyError:
+        return None
+    if not _all_types(numbers, (int, float), bool):
+        return None
+    try:
+        numbers = np.array(numbers, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    with np.errstate(over="ignore"):
+        angles = numbers * math.pi
+    if not np.isfinite(angles).all():  # NaN, an infinity, or a product beyond the float range
+        return None
+    values = np.full(len(items), math.nan)
+    values[given] = angles
+    return bases, values
+
+
+def _all_types(objects, kinds, but=()) -> bool:
+    """Whether isinstance(x, kinds) and not isinstance(x, but) for every x in
+    objects, decided once per distinct type."""
+    return all(issubclass(t, kinds) and not issubclass(t, but) for t in set(map(type, objects)))
+
+
+def _walk_records(items: list, n: int, r: int) -> set:
+    """The bases of the value records as tuples, checked one record at a
+    time in document order: raises :class:`FormatError` at the first record
+    with a bad shape, a bad basis, a basis seen before or a bad phase, in
+    that order of checks within a record."""
+    keys = set()
     for item in items:
         if not isinstance(item, dict) or set(item) != {"basis", "phase"}:
             raise FormatError(f"bad value record: {item!r}")
@@ -143,14 +236,11 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
                 or basis[0] < 1 or basis[-1] > n):
             raise FormatError(f"bad basis {basis!r}: need a sorted {r}-subset of [1, {n}]")
         key = tuple(basis)
-        if key in values:
+        if key in keys:
             raise FormatError(f"basis {basis} appears twice")
-        values[key] = _phase_angle(item["phase"])
-    try:
-        angles = _normalize_array(np.array(_in_lex_order(n, r, values), dtype=float))
-        return Phirotope._from_angles(n, r, angles, tolerance, validate)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        keys.add(key)
+        _phase_angle(item["phase"])
+    return keys
 
 
 def forest_to_json(forest: SpanningForest) -> list:

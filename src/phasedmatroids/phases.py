@@ -200,9 +200,8 @@ def zero_in_hypersum_batch(angles: np.ndarray, eps: float) -> np.ndarray:
     return np.isnan(largest) | full | antip
 
 
-def triangle_solve(gamma: Phase, alpha: Phase, beta: Phase,
-                   s1: Optional[float] = None, s2: Optional[float] = None,
-                   tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def triangle_solve(gamma, alpha, beta, s1=None, s2=None,
+                   tol: Tolerance = DEFAULT_TOLERANCE):
     """The unknown positive norm of the triangular equation
     gamma = ph(s1*alpha - s2*beta): s1 or s2, whichever is ``None``.
 
@@ -215,38 +214,75 @@ def triangle_solve(gamma: Phase, alpha: Phase, beta: Phase,
     violates its own invariant) and :class:`InfeasibleTriangleError` when no
     strictly positive solution exists, including the singular limits
     gamma = +/-beta (unknown s2) and gamma = +/-alpha (unknown s1).
+
+    Many equations are solved at once when gamma, alpha and beta are arrays
+    of angles in [0, 2*pi) (NaN for the zero phase) and s1 and s2 float
+    arrays with NaN on the unknown side of each equation.  Each equation
+    takes the float operations of a lone one, so the solutions are the same
+    bits, and the first equation that fails raises what it would alone, with
+    its index in the error's ``equation``.
     """
-    if gamma.is_zero or alpha.is_zero or beta.is_zero:
-        raise ValueError("triangular equations need nonzero phases")
-    if (s1 is None) == (s2 is None):
-        raise ValueError("exactly one of s1, s2 must be unknown")
-    known = s1 if s1 is not None else s2
-    if not 0.0 < known < math.inf:  # NaN fails both comparisons
-        raise ValueError("the known side must be positive and finite")
-    a, b, g = alpha.angle, beta.angle, gamma.angle
-    if circular_distance(a, b) < tol.eps or circular_distance(a + math.pi, b) < tol.eps:
-        raise DegenerateTriangleError("alpha = +/-beta")
-    ua = (math.cos(a), math.sin(a))
-    ub = (math.cos(b), math.sin(b))
-    ug = (math.cos(g), math.sin(g))
-    if s2 is None:
-        # s1*ua = s2*ub + t*ug: columns (ub, ug), rhs s1*ua
-        c1, c2, rhs = ub, ug, ua
-    else:
-        # s2*ub = s1*ua - t*ug: columns (ua, -ug), rhs s2*ub
-        c1, c2, rhs = ua, (-ug[0], -ug[1]), ub
-    det = c1[0] * c2[1] - c1[1] * c2[0]
-    if abs(det) < tol.eps:
-        raise InfeasibleTriangleError(
-            "gamma is (anti)parallel to the known side: no positive solution")
-    rx, ry = known * rhs[0], known * rhs[1]
-    s = (rx * c2[1] - ry * c2[0]) / det
-    t = (c1[0] * ry - c1[1] * rx) / det
-    if s <= 0.0 or t <= 0.0:
-        raise InfeasibleTriangleError(f"solved norms not positive: s={s:.6g}, t={t:.6g}")
-    s1, s2 = (s, s2) if s1 is None else (s1, s)
-    check = s1 * complex(ua[0], ua[1]) - s2 * complex(ub[0], ub[1])
-    resid = circular_distance(cmath.phase(check), g)
-    if resid > 10 * tol.eps and resid > TRIANGLE_RESIDUAL_FLOOR:
-        raise InfeasibleTriangleError(f"solution fails phase check (residual {resid:.3g})")
+    if isinstance(gamma, Phase):
+        if gamma.is_zero or alpha.is_zero or beta.is_zero:
+            raise ValueError("triangular equations need nonzero phases")
+        if (s1 is None) == (s2 is None):
+            raise ValueError("exactly one of s1, s2 must be unknown")
+        known = s1 if s1 is not None else s2
+        if not 0.0 < known < math.inf:  # NaN fails both comparisons
+            raise ValueError("the known side must be positive and finite")
+        one = [np.array([p.angle]) for p in (gamma, alpha, beta)]
+        sides = [np.array([math.nan if s is None else s]) for s in (s1, s2)]
+        return triangle_solve(*one, *sides, tol).item()
+    a, b, g = alpha, beta, gamma
+    unknown1 = np.isnan(s1)  # else s2 is the unknown side
+    known = np.where(unknown1, s2, s1)
+    eps = tol.eps
+    checks = [  # (failing equations, error) in the order a lone equation checks them
+        (np.isnan(a) | np.isnan(b) | np.isnan(g),
+         lambda k: ValueError("triangular equations need nonzero phases")),
+        (unknown1 == np.isnan(s2), lambda k: ValueError("exactly one of s1, s2 must be unknown")),
+        (~((0.0 < known) & (known < math.inf)),
+         lambda k: ValueError("the known side must be positive and finite")),
+        ((_circular_distance_array(a, b) < eps)
+         | (_circular_distance_array(_normalize_array(a + math.pi), b) < eps),
+         lambda k: DegenerateTriangleError("alpha = +/-beta")),
+    ]
+    ca, sa, cb, sb, cg, sg = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(g), np.sin(g)
+    # unknown s2: s1*ua = s2*ub + t*ug, columns (ub, ug), rhs s1*ua;
+    # unknown s1: s2*ub = s1*ua - t*ug, columns (ua, -ug), rhs s2*ub
+    c1x, c1y = np.where(unknown1, ca, cb), np.where(unknown1, sa, sb)
+    c2x, c2y = np.where(unknown1, -cg, cg), np.where(unknown1, -sg, sg)
+    rhsx, rhsy = np.where(unknown1, cb, ca), np.where(unknown1, sb, sa)
+    det = c1x * c2y - c1y * c2x
+    checks.append((np.abs(det) < eps, lambda k: InfeasibleTriangleError(
+        "gamma is (anti)parallel to the known side: no positive solution")))
+    rx, ry = known * rhsx, known * rhsy
+    with np.errstate(all="ignore"):  # equations failing an earlier check
+        s = (rx * c2y - ry * c2x) / det
+        t = (c1x * ry - c1y * rx) / det
+    checks.append(((s <= 0.0) | (t <= 0.0), lambda k: InfeasibleTriangleError(
+        f"solved norms not positive: s={s.item(k):.6g}, t={t.item(k):.6g}")))
+    failed = np.logical_or.reduce([bad for bad, _ in checks])
+    # the residual: cmath.phase of s1*ua - s2*ub against gamma, for the
+    # equations that pass every earlier check.  Python's float * complex adds
+    # 0.0 times the other part too, which can change only the sign of a zero
+    # and so not the residual.
+    passed = np.flatnonzero(~failed)
+    side1 = np.where(unknown1, s, known)[passed]
+    side2 = np.where(unknown1, known, s)[passed]
+    check = np.empty(passed.size, dtype=complex)
+    check.real = side1 * ca[passed] - side2 * cb[passed]
+    check.imag = side1 * sa[passed] - side2 * sb[passed]
+    phases = np.fromiter(map(cmath.phase, check.tolist()), dtype=float, count=passed.size)
+    resid = np.full(s.shape, math.nan)
+    resid[passed] = _circular_distance_array(_normalize_array(phases), g[passed])
+    checks.append(((resid > 10 * eps) & (resid > TRIANGLE_RESIDUAL_FLOOR),
+                   lambda k: InfeasibleTriangleError(
+                       f"solution fails phase check (residual {resid.item(k):.3g})")))
+    failed |= checks[-1][0]
+    if failed.any():
+        k = int(np.argmax(failed))
+        error = next(make(k) for bad, make in checks if bad[k])
+        error.equation = k
+        raise error
     return s

@@ -89,8 +89,11 @@ def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _binomials(n: int, s: int) -> np.ndarray:
-    """C(a, b) at [a, b] for a <= n and b <= s; read-only."""
-    binom = np.array([[math.comb(a, b) for b in range(s + 1)] for a in range(n + 1)])
+    """C(a, b) at [a, b] for a <= n and b <= s, capped at C(n, s); read-only.
+    A lex rank of an s-subset of [n] reads no larger entry, and the cap keeps
+    the table int64 wherever C(n, s) fits."""
+    cap = math.comb(n, s)
+    binom = np.array([[min(math.comb(a, b), cap) for b in range(s + 1)] for a in range(n + 1)])
     binom.flags.writeable = False
     return binom
 
@@ -340,6 +343,38 @@ class Phirotope:
         angles, each with its sign folded in as +-pi; NaN stands for a zero
         value and carries through the sums.
         """
+        sweep = self._gp_sweep(touching)
+        ysubs = list(itertools.combinations(range(1, self.n + 1), self.r - 1))
+        bad = []
+        for xs, ycols, miss in sweep:
+            rows, cols = np.nonzero(miss)
+            bad.extend(zip(map(tuple, xs[rows].tolist()), map(ysubs.__getitem__, ycols[cols].tolist())))
+        bad.sort()
+        return bad
+
+    def _first_gp_violation(self, touching: Optional[np.ndarray] = None):
+        """(count, first): the length of ``check_gp(touching)`` and its first
+        pair, None when it is empty, decoding no other pair."""
+        n, r = self.n, self.r
+        count, first = 0, None
+        for xs, ycols, miss in self._gp_sweep(touching):
+            count += int(miss.sum())
+            rows = np.flatnonzero(miss.any(axis=1))
+            x = rows[np.argmin(_lex_rank(xs[rows], n))]  # the least X with a violation
+            key = (tuple(xs[x].tolist()), ycols.item(np.argmax(miss[x])))  # ycols ascend
+            first = key if first is None else min(first, key)
+        if first is None:
+            return 0, None
+        x, y = first
+        return count, (x, next(itertools.islice(
+            itertools.combinations(range(1, n + 1), r - 1), y, None)))
+
+    def _gp_sweep(self, touching):
+        """The sweep of ``check_gp``, which checks its arguments and the pair
+        cap at once and then runs lazily: for each rectangle (xs, ycols) of
+        ``_gp_rectangles`` with a violation, it yields xs, the lex indices
+        ycols of its Y, in ascending order, and the boolean array miss with
+        miss[a, b] True iff the pair (xs[a], Y number ycols[b]) violates."""
         n, r = self.n, self.r
         if touching is not None and np.shape(touching) != self.angles.shape:
             raise ValueError(f"touching must mark each of the {self.angles.size} bases")
@@ -352,18 +387,21 @@ class Phirotope:
         neg -= TAU * (neg >= TAU)
         # ey[e, Y] = angle of phi(e, *Y), NaN when e is in Y; row 0 is unused.
         # When Y is the basis b without its k-th element e, phi(e, *Y) = (-1)^k phi(b).
-        ysubs = list(itertools.combinations(range(1, n + 1), r - 1))
-        every_y = np.arange(len(ysubs))
+        ny = math.comb(n, r - 1)
         bases = _bases(n, r)
-        ey = np.full((n + 1, len(ysubs)), math.nan)
+        ey = np.full((n + 1, ny), math.nan)
         for k in range(r):
             ey[bases[:, k], _lex_rank(np.delete(bases, k, axis=1), n)] = neg if k % 2 else ang
+        return self._gp_misses(rectangles, pairs, ey, neg)
+
+    def _gp_misses(self, rectangles, pairs, ey, neg):
+        """The lazy part of ``_gp_sweep``, with its tables ey and neg."""
+        n, r, ang = self.n, self.r, self.angles
         drop = [[j for j in range(r + 1) if j != k] for k in range(r + 1)]
-        bad = []
         # one buffer for every block that fits, so that the blocks do not
         # allocate and fault in fresh pages one after another
         buffer = np.empty((r + 1, min(pairs, GP_BLOCK_COLUMNS)))
-        for block, width in _gp_blocks(rectangles, every_y):
+        for block, width in _gp_blocks(rectangles, np.arange(ey.shape[1])):
             # terms[k, pair]; a rectangle's pairs are consecutive, X-major
             terms = buffer[:, :width] if width <= buffer.shape[1] else np.empty((r + 1, width))
             spans, start = [], 0
@@ -383,11 +421,9 @@ class Phirotope:
             if ok.all():
                 continue
             for start, stop, xs, ycols in spans:
-                if hits := np.flatnonzero(~ok[start:stop]).tolist():
-                    rows, ys, w = list(map(tuple, xs.tolist())), ycols.tolist(), len(ycols)
-                    bad.extend((rows[i // w], ysubs[ys[i % w]]) for i in hits)
-        bad.sort()
-        return bad
+                miss = ~ok[start:stop].reshape(len(xs), len(ycols))
+                if miss.any():
+                    yield xs, ycols, miss
 
     def __eq__(self, other):
         if not isinstance(other, Phirotope):

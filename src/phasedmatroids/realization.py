@@ -19,12 +19,13 @@ import numpy as np
 
 from .canonical import (
     CanonicalizationResult,
-    _scan_forest,
     _entry_angles,
+    _minor_angles,
+    _pinned_on,
+    _real,
+    _scan_forest,
     canonicalize,
     is_real_valued,
-    minor_phase,
-    _pinned_on,
     tree_potentials,
 )
 from .errors import (
@@ -35,7 +36,13 @@ from .errors import (
     PhasedMatroidError,
 )
 from .matrices import ComplexMatrix
-from .phases import VERIFY_TOLERANCE, Phase, _circular_distance_array, triangle_solve
+from .phases import (
+    VERIFY_TOLERANCE,
+    Phase,
+    _circular_distance_array,
+    _normalize_array,
+    triangle_solve,
+)
 from .phirotopes import Phirotope, Rephasing, _bases, _phase, is_uniform, minor_phases
 
 ESSENTIALLY_ORIENTED = "essentially_oriented"
@@ -82,28 +89,29 @@ class Unsupported:
 RealizabilityVerdict = Union[Realizable, NotRealizable, Unsupported]
 
 
-def _solve_entry(phi, alpha, norms, i, m, j, k):
-    """Solve for the norm at 1-based (i, j) from the 2x2 minor on rows {i, m}
-    and columns {j, k}, where the other three norms are known; the solution
-    is written into ``norms``."""
-    a, b = min(i, m), max(i, m)
-    c, d = min(j, k), max(j, k)
-    ac, ad = norms.item(a - 1, c - 1), norms.item(a - 1, d - 1)
-    bc, bd = norms.item(b - 1, c - 1), norms.item(b - 1, d - 1)
-    gamma = minor_phase(phi, (a, b), (c, d))
-    phase1 = alpha[(a, c)] * alpha[(b, d)]
-    phase2 = alpha[(a, d)] * alpha[(b, c)]
-    if (i, j) in ((a, c), (b, d)):
-        cofactor = bd if (i, j) == (a, c) else ac
-        s1, s2 = None, ad * bc
-    else:
-        cofactor = bc if (i, j) == (a, d) else ad
-        s1, s2 = ac * bd, None
+def _solve_pass(phi, entries, norms, i, j, m, k):
+    """Solve for the norm at each 1-based (i, j) of one pass from the 2x2
+    minor on rows {i, m} and columns {j, k}, whose other three norms are
+    known, in one ``triangle_solve`` call; the solutions are written into
+    ``norms``.  ``entries`` holds the entry angles of ``_entry_angles``."""
+    r = phi.r
+    a, b = np.minimum(i, m), np.maximum(i, m)
+    c, d = np.minimum(j, k), np.maximum(j, k)
+    ac, ad = norms[a - 1, c - 1], norms[a - 1, d - 1]
+    bc, bd = norms[b - 1, c - 1], norms[b - 1, d - 1]
+    phase1 = _normalize_array(entries[a - 1, c - r - 1] + entries[b - 1, d - r - 1])
+    phase2 = _normalize_array(entries[a - 1, d - r - 1] + entries[b - 1, c - r - 1])
+    unknown1 = (i == a) == (j == c)  # (i, j) is (a, c) or (b, d): s1 is unknown
+    cofactor = np.where(unknown1, np.where(i == a, bd, ac), np.where(i == a, bc, ad))
+    s1 = np.where(unknown1, math.nan, ac * bd)
+    s2 = np.where(unknown1, ad * bc, math.nan)
     try:
-        solved = triangle_solve(gamma, phase1, phase2, s1, s2, phi.tolerance)
+        solved = triangle_solve(_minor_angles(phi, a, b, c, d), phase1, phase2, s1, s2,
+                                phi.tolerance)
     except InfeasibleTriangleError as exc:
+        e = exc.equation
         raise InfeasibleTriangleError(
-            f"minor rows {{{a},{b}}} cols {{{c},{d}}}: {exc}") from exc
+            f"minor rows {{{a[e]},{b[e]}}} cols {{{c[e]},{d[e]}}}: {exc}") from exc
     norms[i - 1, j - 1] = solved / cofactor
 
 
@@ -111,13 +119,15 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
     """Rebuild the canonical realization (I|N) of uniform ``canon.canonical``.
 
     Entry phases come straight from the phirotope; tree norms are 1; the rest
-    are solved in four passes of triangular equations (row-major within a
-    pass), each against an anchor built from non-real entries.  Phases are
-    judged within ``canon.canonical.tolerance``.  Raises
+    are solved in four passes of triangular equations, each against an
+    anchor built from non-real entries.  The equations of a pass read only
+    norms of earlier passes, so each pass is one array solve, in row-major
+    order.  Phases are judged within ``canon.canonical.tolerance``.  Raises
     :class:`NotCanonicalError` unless it is uniform and pinned on
     ``canon.forest``, :class:`EssentiallyOrientedError` if some entry needs
     pass 4 and no non-real entry exists, and :class:`InfeasibleTriangleError`
-    when some equation has no positive solution (evidence of non-realizability).
+    when some equation has no positive solution (evidence of non-realizability),
+    naming the first such equation in pass and row-major order.
     """
     canonical = canon.canonical
     r, n = canonical.r, canonical.n
@@ -125,34 +135,32 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
         raise NotCanonicalError("reconstruction requires a uniform canonical phirotope")
 
     entries = _entry_angles(canonical)
-    alpha = {(i, j): Phase(entries.item(i - 1, j - r - 1))
-             for i in range(1, r + 1) for j in range(r + 1, n + 1)}
-    free = [(i, j) for i in range(1, r) for j in range(r + 2, n + 1)]
-    real = {key: alpha[key].is_real(canonical.tolerance) for key in free}
-    non_real = [key for key in free if not real[key]]
-    row_anchor, col_anchor = {}, {}  # first non-real column of a row, row of a column
-    for i, j in non_real:
-        row_anchor.setdefault(i, j)
-        col_anchor.setdefault(j, i)
-    plan = []  # (pass, i, j, m, k): solve (i, j) from the minor on rows {i, m}, cols {j, k}
-    for i, j in free:
-        if not real[(i, j)]:  # against the all-ones row r and column r+1
-            plan.append((1, i, j, r, r + 1))
-        elif i in row_anchor:
-            plan.append((2, i, j, r, row_anchor[i]))
-        elif j in col_anchor:
-            plan.append((3, i, j, col_anchor[j], r + 1))
-        elif non_real:  # all-real row and column: against the first non-real entry
-            plan.append((4, i, j) + non_real[0])
-        else:
-            raise EssentiallyOrientedError(
-                "no non-real entry available to anchor the reconstruction")
     norms = np.full((r, n), np.nan)  # the identity block, the all-ones tree, nan where unknown
     norms[:, :r] = np.eye(r)
     norms[r - 1, r:] = 1.0
     norms[:, r] = 1.0
-    for _, i, j, m, k in sorted(plan):
-        _solve_entry(canonical, alpha, norms, i, m, j, k)
+    # the free entries (i, j), i < r and j > r + 1, at [i - 1, j - r - 2]
+    non_real = ~_real(entries[:r - 1, 1:], canonical.tolerance.eps)
+    if non_real.size:
+        if not non_real.any():
+            raise EssentiallyOrientedError(
+                "no non-real entry available to anchor the reconstruction")
+        in_row, in_col = non_real.any(axis=1)[:, None], non_real.any(axis=0)
+        row_anchor = non_real.argmax(axis=1)[:, None] + r + 2  # its first non-real column
+        col_anchor = non_real.argmax(axis=0) + 1  # its first non-real row
+        first = np.unravel_index(non_real.argmax(), non_real.shape)  # in row-major order
+        # pass 1: non-real, against the all-ones row r and column r + 1;
+        # pass 2: against the row's anchor; pass 3: against the column's
+        # anchor; pass 4: all-real row and column, against the first non-real
+        # entry.  (i, j) is solved from the minor on rows {i, m}, columns {j, k}.
+        passes = np.where(non_real, 1, np.where(in_row, 2, np.where(in_col, 3, 4)))
+        m = np.where(passes <= 2, r, np.where(passes == 3, col_anchor, first[0] + 1))
+        k = np.where(passes % 2 == 1, r + 1, np.where(passes == 2, row_anchor, first[1] + r + 2))
+        for step in range(1, 5):
+            on = passes == step
+            if on.any():
+                i, j = np.nonzero(on)
+                _solve_pass(canonical, entries, norms, i + 1, j + r + 2, m[on], k[on])
 
     angles = np.zeros((r, n))
     angles[:, r:] = entries
@@ -213,16 +221,17 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
     canonical realization and verifies it.  Verification is always the last
     gate before a Realizable verdict, and a verified matrix certifies the
     Grassmann-Pluecker relations, because the minors of a matrix satisfy them;
-    so the GP sweep (``Phirotope.check_gp``, in blocks of bounded memory)
-    runs only when the pipeline ends in another verdict or raises a
+    so the GP sweep (that of ``Phirotope.check_gp``, in blocks of bounded
+    memory) runs only when the pipeline ends in another verdict or raises a
     ``PhasedMatroidError``.  After a failed verification the matrix still
     certifies every relation that reads only bases where it agrees with the
     canonical phirotope, since GP is invariant under rephasing; so that
     sweep reads only the relations with a term on a basis of the witness's
     ``disagreeing`` set (all of them when that set is large).  Every other
     outcome sweeps all pairs.  A GP violation then gives
-    ``Unsupported(NOT_A_PHIROTOPE)``, with the swept count of violations;
-    otherwise the pipeline's verdict stands, or its error is raised again.
+    ``Unsupported(NOT_A_PHIROTOPE)``, with the swept count of violations and
+    the first of them, the only one decoded; otherwise the pipeline's verdict
+    stands, or its error is raised again.
     """
     try:
         verdict = _decide_from_reconstruction(phi)
@@ -233,11 +242,10 @@ def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
     touching = None
     if isinstance(verdict, NotRealizable) and verdict.witness is not None:
         touching = verdict.witness.disagreeing
-    violations = phi.check_gp(touching)
-    if violations:
-        x, y = violations[0]
-        return Unsupported(NOT_A_PHIROTOPE,
-                           detail=f"{len(violations)} violations, first at X={x}, Y={y}")
+    count, first = phi._first_gp_violation(touching)
+    if count:
+        x, y = first
+        return Unsupported(NOT_A_PHIROTOPE, detail=f"{count} violations, first at X={x}, Y={y}")
     if isinstance(verdict, PhasedMatroidError):
         raise verdict
     return verdict

@@ -4,19 +4,31 @@ expected test values."""
 import cmath
 import itertools
 import math
+import sys
 
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from phasedmatroids import ZERO, ComplexMatrix, Phase
-from phasedmatroids.matrices import all_maximal_minors
+from phasedmatroids import ZERO, ComplexMatrix, Phase, Phirotope
+from phasedmatroids.canonical import _pinned_on, minor_phase
+from phasedmatroids.errors import (
+    DegenerateTriangleError,
+    EssentiallyOrientedError,
+    InfeasibleTriangleError,
+    NotCanonicalError,
+)
+from phasedmatroids.jsonio import FormatError
+from phasedmatroids.matrices import _is_integer, all_maximal_minors
 from phasedmatroids.phases import (
     DEFAULT_TOLERANCE,
+    TRIANGLE_RESIDUAL_FLOOR,
     VERIFY_TOLERANCE,
     ZERO_MAGNITUDE_CUTOFF,
+    _normalize_array,
     circular_distance,
     zero_in_hypersum_batch,
 )
+from phasedmatroids.phirotopes import _in_lex_order, is_uniform
 
 
 def unit(p):
@@ -253,3 +265,204 @@ def gp_pairs_touching(n, r, disagreeing):
             if any(t in touched for t in terms):
                 pairs.append((x, y))
     return sorted(pairs)
+
+
+# The per-record JSON parse and the per-equation reconstruction as they ran
+# before both became whole-array passes; kept as the references that the
+# array versions must match bit for bit, error texts included.
+
+def phirotope_from_json_reference(obj, tolerance, validate=True):
+    """``jsonio.phirotope_from_json`` one record at a time: each record's
+    shape, basis, duplicate and phase are checked in document order, then
+    the values are listed in lex order by ``phirotopes._in_lex_order``."""
+    if not isinstance(obj, dict):
+        raise FormatError("phirotope must be a JSON object")
+    try:
+        n, r, items = obj["n"], obj["r"], obj["values"]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"phirotope is missing field {exc}") from exc
+    if not (_is_integer(n) and _is_integer(r) and 1 <= r <= n):
+        raise FormatError("need integers 1 <= r <= n")
+    if not isinstance(items, list):
+        raise FormatError("values must be a list")
+    values = {}
+    for item in items:
+        if not isinstance(item, dict) or set(item) != {"basis", "phase"}:
+            raise FormatError(f"bad value record: {item!r}")
+        basis = item["basis"]
+        if (not isinstance(basis, list) or len(basis) != r
+                or not all(map(_is_integer, basis))
+                or sorted(basis) != basis or len(set(basis)) != r
+                or basis[0] < 1 or basis[-1] > n):
+            raise FormatError(f"bad basis {basis!r}: need a sorted {r}-subset of [1, {n}]")
+        key = tuple(basis)
+        if key in values:
+            raise FormatError(f"basis {basis} appears twice")
+        values[key] = _phase_angle_reference(item["phase"])
+    try:
+        angles = _normalize_array(np.array(_in_lex_order(n, r, values), dtype=float))
+        return Phirotope._from_angles(n, r, angles, tolerance, validate)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _phase_angle_reference(obj):
+    """The angle in radians of a JSON phase, not yet normalized; NaN for null."""
+    if obj is None:
+        return math.nan
+    if not isinstance(obj, dict) or set(obj) != {"angle_over_pi"}:
+        raise FormatError(f"expected null or {{'angle_over_pi': x}}, got {obj!r}")
+    x = obj["angle_over_pi"]
+    if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
+        raise FormatError(f"angle_over_pi must be a finite number, got {x!r}")
+    angle = float(x) * math.pi
+    if not math.isfinite(angle):
+        raise FormatError(f"angle_over_pi is too large, got {x!r}")
+    return angle
+
+
+def triangle_solve_reference(gamma, alpha, beta, s1=None, s2=None, tol=DEFAULT_TOLERANCE):
+    """``phases.triangle_solve`` for one equation in Python floats: the
+    unknown positive norm of gamma = ph(s1*alpha - s2*beta)."""
+    if gamma.is_zero or alpha.is_zero or beta.is_zero:
+        raise ValueError("triangular equations need nonzero phases")
+    if (s1 is None) == (s2 is None):
+        raise ValueError("exactly one of s1, s2 must be unknown")
+    known = s1 if s1 is not None else s2
+    if not 0.0 < known < math.inf:
+        raise ValueError("the known side must be positive and finite")
+    a, b, g = alpha.angle, beta.angle, gamma.angle
+    if circular_distance(a, b) < tol.eps or circular_distance(a + math.pi, b) < tol.eps:
+        raise DegenerateTriangleError("alpha = +/-beta")
+    ua = (math.cos(a), math.sin(a))
+    ub = (math.cos(b), math.sin(b))
+    ug = (math.cos(g), math.sin(g))
+    if s2 is None:
+        c1, c2, rhs = ub, ug, ua
+    else:
+        c1, c2, rhs = ua, (-ug[0], -ug[1]), ub
+    det = c1[0] * c2[1] - c1[1] * c2[0]
+    if abs(det) < tol.eps:
+        raise InfeasibleTriangleError(
+            "gamma is (anti)parallel to the known side: no positive solution")
+    rx, ry = known * rhs[0], known * rhs[1]
+    s = (rx * c2[1] - ry * c2[0]) / det
+    t = (c1[0] * ry - c1[1] * rx) / det
+    if s <= 0.0 or t <= 0.0:
+        raise InfeasibleTriangleError(f"solved norms not positive: s={s:.6g}, t={t:.6g}")
+    s1, s2 = (s, s2) if s1 is None else (s1, s)
+    check = s1 * complex(ua[0], ua[1]) - s2 * complex(ub[0], ub[1])
+    resid = circular_distance(cmath.phase(check), g)
+    if resid > 10 * tol.eps and resid > TRIANGLE_RESIDUAL_FLOOR:
+        raise InfeasibleTriangleError(f"solution fails phase check (residual {resid:.3g})")
+    return s
+
+
+def _solve_entry_reference(phi, alpha, norms, i, m, j, k):
+    """Solve for the norm at 1-based (i, j) from the 2x2 minor on rows {i, m}
+    and columns {j, k}, where the other three norms are known; the solution
+    is written into ``norms``."""
+    a, b = min(i, m), max(i, m)
+    c, d = min(j, k), max(j, k)
+    ac, ad = norms.item(a - 1, c - 1), norms.item(a - 1, d - 1)
+    bc, bd = norms.item(b - 1, c - 1), norms.item(b - 1, d - 1)
+    gamma = minor_phase(phi, (a, b), (c, d))
+    phase1 = alpha[(a, c)] * alpha[(b, d)]
+    phase2 = alpha[(a, d)] * alpha[(b, c)]
+    if (i, j) in ((a, c), (b, d)):
+        cofactor = bd if (i, j) == (a, c) else ac
+        s1, s2 = None, ad * bc
+    else:
+        cofactor = bc if (i, j) == (a, d) else ad
+        s1, s2 = ac * bd, None
+    try:
+        solved = triangle_solve_reference(gamma, phase1, phase2, s1, s2, phi.tolerance)
+    except InfeasibleTriangleError as exc:
+        raise InfeasibleTriangleError(
+            f"minor rows {{{a},{b}}} cols {{{c},{d}}}: {exc}") from exc
+    norms[i - 1, j - 1] = solved / cofactor
+
+
+def reconstruct_reference(canon):
+    """``realization.reconstruct`` one equation at a time: the plan of
+    (pass, i, j, m, k) is sorted and each entry solved in turn, each 2x2
+    minor phase read by ``minor_phase``."""
+    canonical = canon.canonical
+    r, n = canonical.r, canonical.n
+    if not (is_uniform(canonical) and _pinned_on(canonical, canon.forest)):
+        raise NotCanonicalError("reconstruction requires a uniform canonical phirotope")
+    alpha = {(i, j): minor_phase(canonical, (i,), (j,))
+             for i in range(1, r + 1) for j in range(r + 1, n + 1)}
+    free = [(i, j) for i in range(1, r) for j in range(r + 2, n + 1)]
+    real = {key: alpha[key].is_real(canonical.tolerance) for key in free}
+    non_real = [key for key in free if not real[key]]
+    row_anchor, col_anchor = {}, {}
+    for i, j in non_real:
+        row_anchor.setdefault(i, j)
+        col_anchor.setdefault(j, i)
+    plan = []
+    for i, j in free:
+        if not real[(i, j)]:
+            plan.append((1, i, j, r, r + 1))
+        elif i in row_anchor:
+            plan.append((2, i, j, r, row_anchor[i]))
+        elif j in col_anchor:
+            plan.append((3, i, j, col_anchor[j], r + 1))
+        elif non_real:
+            plan.append((4, i, j) + non_real[0])
+        else:
+            raise EssentiallyOrientedError(
+                "no non-real entry available to anchor the reconstruction")
+    norms = np.full((r, n), np.nan)
+    norms[:, :r] = np.eye(r)
+    norms[r - 1, r:] = 1.0
+    norms[:, r] = 1.0
+    for _, i, j, m, k in sorted(plan):
+        _solve_entry_reference(canonical, alpha, norms, i, m, j, k)
+    angles = np.zeros((r, n))
+    for (i, j), p in alpha.items():
+        angles[i - 1, j - 1] = p.angle
+    return ComplexMatrix(norms, angles)
+
+
+def rank2_realizable(phi):
+    """Whether a uniform rank-2 phirotope is realizable, decided exactly as
+    n points of CP^1 (after Below, Krummeck and Richter-Gebert, "Complex
+    matroids: phirotopes and their realizations in rank 2", 2003) without
+    canonicalize, triangle_solve or a spanning forest; None when two rays
+    are parallel within ``phi.tolerance``.
+
+    With phi divided by phi(1, 2), GL2 and positive column scaling give
+    v1 = e1, v2 = e2 and vj = (tj uj, bj) with uj = -phi(2, j),
+    bj = phi(1, j) and t3 = 1.  Each tj, j >= 4, is where the ray of
+    det(v3, vj) = u3 bj - tj b3 uj meets the ray of phi(3, j): one 2x2 real
+    solve.  Every value is then checked within ``VERIFY_TOLERANCE``.
+    """
+    n = phi.n
+    angles = dict(zip(itertools.combinations(range(1, n + 1), 2), phi.angles.tolist()))
+
+    def value(i, j):  # phi(i, j) / phi(1, 2) on the unit circle
+        return cmath.exp(1j * (angles[(i, j)] - angles[(1, 2)]))
+
+    cols = {1: (1.0, 0.0), 2: (0.0, 1.0)}  # column j as its two complex entries (x, y)
+    t = 1.0
+    for j in range(3, n + 1):
+        u, b = -value(2, j), value(1, j)
+        if j > 3:
+            # tj * b3 u + s * gamma = u3 b with s > 0: columns p and gamma
+            p, g, rhs = b3 * u, value(3, j), u3 * b
+            det = p.real * g.imag - p.imag * g.real
+            if abs(det) < phi.tolerance.eps:
+                return None
+            t = (rhs.real * g.imag - rhs.imag * g.real) / det
+            s = (p.real * rhs.imag - p.imag * rhs.real) / det
+            if t <= 0.0 or s <= 0.0:
+                return False
+        else:
+            u3, b3 = u, b
+        cols[j] = (t * u, b)
+    for (i, j) in angles:
+        d = cols[i][0] * cols[j][1] - cols[i][1] * cols[j][0]
+        if circular_distance(cmath.phase(d), cmath.phase(value(i, j))) >= VERIFY_TOLERANCE.eps:
+            return False
+    return True

@@ -1,9 +1,13 @@
 """JSON round trips and schema validation."""
 
+import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasedmatroids import (
     DEFAULT_TOLERANCE,
@@ -29,7 +33,7 @@ from phasedmatroids.jsonio import (
 )
 
 from conftest import load_fixture
-from oracles import isclose, max_entry_distance
+from oracles import isclose, max_entry_distance, phirotope_from_json_reference
 
 
 def _phases_back(*phases):
@@ -152,3 +156,133 @@ def test_verdict_to_json_emits_each_documented_shape(nonreal2ex_phi):
         "verdict": "Unsupported", "reason": "essentially_oriented"}
     with pytest.raises(TypeError):
         verdict_to_json(realizable.matrix)
+
+
+# The whole-list parse against the per-record reference: the same angle bits
+# for a valid document, the same FormatError text for a malformed one.
+
+def _parse_outcome(parse, doc):
+    try:
+        phi = parse(doc, DEFAULT_TOLERANCE, validate=False)
+    except Exception as exc:  # noqa: BLE001 - the class and text are compared
+        return type(exc).__name__, str(exc)
+    return "ok", phi.n, phi.r, phi.angles.tobytes()
+
+
+def _same_parse(doc):
+    got = _parse_outcome(phirotope_from_json, copy.deepcopy(doc))
+    want = _parse_outcome(phirotope_from_json_reference, copy.deepcopy(doc))
+    assert got == want
+    return got
+
+
+def _mutate(records, kind, k, n, r, draw):
+    """One fault of the given kind at record k of a list of value records."""
+    record = records[k]
+    basis, phase = record["basis"], record["phase"]
+    at = draw(st.integers(0, r - 1))
+    if kind == "basis element":
+        basis[at] = draw(st.sampled_from([True, False, float(basis[at]), 10**30, -10**30,
+                                          0, n + 1, 2**63, "1", None, [1]]))
+    elif kind == "unsorted":
+        basis.reverse() if r > 1 else basis.append(basis[0])
+    elif kind == "basis length":
+        basis.append(n) if draw(st.booleans()) else basis.pop()
+    elif kind == "basis type":
+        record["basis"] = draw(st.sampled_from([tuple(basis), "1", None, {"b": 1}, 1]))
+    elif kind == "duplicate":
+        # a copy of an earlier basis; only the records after k have changed
+        j = draw(st.integers(0, k))
+        records.insert(k + 1, {"basis": list(records[j]["basis"]), "phase": phase})
+    elif kind == "missing":
+        del records[k]
+    elif kind == "record keys":
+        if draw(st.booleans()):
+            record["x"] = 1
+        else:
+            del record[draw(st.sampled_from(["basis", "phase"]))]
+    elif kind == "record type":
+        records[k] = draw(st.sampled_from([None, [basis, phase], "record", 1.0]))
+    elif kind == "phase type":
+        record["phase"] = draw(st.sampled_from([[0.5], "x", 1.0, True, {}]))
+    elif kind == "phase keys":
+        record["phase"] = {"angle_over_pi": 0.5, "y": 0} if draw(st.booleans()) else {"angle": 0.5}
+    elif kind == "angle":
+        record["phase"] = {"angle_over_pi": draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, 2**1024 - 2**971,
+             True, False, "x", None, [1.0]]))}
+
+
+FAULTS = ["basis element", "unsorted", "basis length", "basis type", "duplicate", "missing",
+          "record keys", "record type", "phase type", "phase keys", "angle"]
+
+
+@st.composite
+def _value_documents(draw):
+    """A phirotope document with shuffled records and some null phases, and
+    faults at up to three of its records."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 6))
+    number = st.one_of(st.floats(-8, 8, allow_nan=False), st.integers(-9, 9), st.just(-0.0))
+    records = [{"basis": list(b), "phase": draw(st.one_of(st.none(), st.builds(
+        lambda x: {"angle_over_pi": x}, number)))}
+        for b in itertools.combinations(range(1, n + 1), r)]
+    records = draw(st.permutations(records))
+    faulty = draw(st.sets(st.integers(0, len(records) - 1), max_size=3))
+    for k in sorted(faulty, reverse=True):  # so that a deleted record moves no other
+        _mutate(records, draw(st.sampled_from(FAULTS)), k, n, r, draw)
+    return {"n": n, "r": r, "values": records}
+
+
+@given(_value_documents())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_per_record_reference(doc):
+    _same_parse(doc)
+
+
+def test_parse_reference_cases():
+    """Each fault alone on a (3, 5) document, the document-level faults, and
+    valid documents in lex, reversed and shuffled order, with null phases."""
+    rng = np.random.default_rng(55)
+    m = ComplexMatrix.from_complex(rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)))
+    doc = phirotope_to_json(from_matrix(m))
+    assert _same_parse(doc)[0] == "ok"
+    for order in (slice(None, None, -1), rng.permutation(10)):
+        values = np.array(doc["values"], dtype=object)[order].tolist()
+        assert _same_parse(dict(doc, values=values))[0] == "ok"
+    nulls = copy.deepcopy(doc)
+    nulls["values"][3]["phase"] = None
+    assert _same_parse(nulls)[0] == "ok"
+    everywhere = copy.deepcopy(doc)
+    for record in everywhere["values"]:
+        record["phase"] = None
+    assert _same_parse(everywhere) == ("FormatError", "a phirotope is not identically zero")
+    for values in ({}, "x", None, doc["values"][0]):
+        assert _same_parse(dict(doc, values=values)) == ("FormatError", "values must be a list")
+    short = {"n": 10**7, "r": 2, "values": copy.deepcopy(doc["values"][:3])}
+    for record, basis in zip(short["values"], ([1, 2], [1, 3], [2, 3])):
+        record["basis"] = basis
+    assert _same_parse(short) == ("FormatError", "expected C(10000000, 2) values, got 3: "
+                                  "every sorted r-subset must appear exactly once")
+    short["values"][1]["basis"] = [1, 2]  # a repeat comes before the count
+    assert _same_parse(short)[1] == "basis [1, 2] appears twice"
+    cases = [  # (record, change) on a copy of doc's records
+        (0, lambda v: v[0]["basis"].__setitem__(1, True)),
+        (4, lambda v: v[4]["basis"].__setitem__(0, 1.0)),
+        (9, lambda v: v[9]["basis"].__setitem__(2, 10**30)),
+        (2, lambda v: v[2]["basis"].__setitem__(0, -10**30)),
+        (5, lambda v: v[5]["basis"].reverse()),
+        (3, lambda v: v[3]["basis"].__setitem__(2, 6)),
+        (3, lambda v: v[3]["basis"].__setitem__(0, 0)),
+        (7, lambda v: v[7].__setitem__("basis", v[1]["basis"])),
+        (7, lambda v: v.pop(7)),
+        (8, lambda v: v[8].__setitem__("x", 1)),
+        (1, lambda v: v[1].__setitem__("phase", [0.5])),
+        (1, lambda v: v[1].__setitem__("phase", {"angle_over_pi": 0.5, "y": 0})),
+        (6, lambda v: v.__setitem__(6, None)),
+    ] + [(6, lambda v, x=x: v[6].__setitem__("phase", {"angle_over_pi": x}))
+         for x in (math.nan, math.inf, -math.inf, 1e308, True, "x", 10**400)]
+    for k, change in cases:
+        faulty = copy.deepcopy(doc)
+        change(faulty["values"])
+        assert _same_parse(faulty)[0] == "FormatError", k

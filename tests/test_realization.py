@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasedmatroids import (
     DEFAULT_TOLERANCE,
@@ -34,13 +36,23 @@ from phasedmatroids import (
     verify,
 )
 from phasedmatroids import jsonio, realization
-from phasedmatroids.canonical import CanonicalizationResult
+from phasedmatroids.canonical import CanonicalizationResult, minor_phase
+from phasedmatroids.errors import PhasedMatroidError
+from phasedmatroids.phases import Tolerance, triangle_solve
 from phasedmatroids.phirotopes import MAX_MATRIX_MINORS, minor_phases
 from phasedmatroids.cli import run
 from phasedmatroids.realization import ESSENTIALLY_ORIENTED, NOT_A_PHIROTOPE, NOT_UNIFORM
 
 from conftest import FIXTURES
-from oracles import isclose, max_entry_distance, standard_form, unit
+from oracles import (
+    isclose,
+    max_entry_distance,
+    rank2_realizable,
+    reconstruct_reference,
+    standard_form,
+    triangle_solve_reference,
+    unit,
+)
 
 
 def canonical_of(matrix):
@@ -383,15 +395,17 @@ def test_pipeline_error_is_raised_only_when_gp_holds(monkeypatch, nonreal2ex_phi
 
 
 def test_check_gp_runs_only_off_the_realizable_path(monkeypatch, runex_phi, nonreal2ex_phi):
+    """The sweep of check_gp, which the decision runs through
+    Phirotope._first_gp_violation, runs once off the Realizable path."""
     calls, restricted = [], []
-    check_gp = Phirotope.check_gp
+    sweep = Phirotope._gp_sweep
 
-    def counted(phi, touching=None):
+    def counted(phi, touching):
         calls.append(phi)
         restricted.append(None if touching is None else _marked(phi, touching))
-        return check_gp(phi, touching)
+        return sweep(phi, touching)
 
-    monkeypatch.setattr(Phirotope, "check_gp", counted)
+    monkeypatch.setattr(Phirotope, "_gp_sweep", counted)
     rng = np.random.default_rng(49)
     realizable = from_matrix(ComplexMatrix.from_complex(
         rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))))
@@ -471,3 +485,167 @@ def test_verdicts_change_only_from_not_a_phirotope_to_verified_realizable():
         assert verify(canonicalize(phi).canonical, after.matrix) is None
         changed[family] += 1
     assert changed["near-real"] >= 5
+
+
+# The pass-at-a-time reconstruction against the per-equation reference, and
+# the exact rank-2 decision as an independent check of its verdicts.
+
+def _rebuilt(rebuild, canon):
+    try:
+        m = rebuild(canon)
+    except PhasedMatroidError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", m.norms.tobytes(), m.angles.tobytes()
+
+
+def _passes(canonical):
+    """The passes that reconstruct runs on a canonical phirotope."""
+    r, n = canonical.r, canonical.n
+    real = {(i, j): minor_phase(canonical, (i,), (j,)).is_real(canonical.tolerance)
+            for i in range(1, r) for j in range(r + 2, n + 1)}
+    rows = {i for (i, _), x in real.items() if not x}
+    cols = {j for (_, j), x in real.items() if not x}
+    return {1 if not x else 2 if i in rows else 3 if j in cols else 4
+            for (i, j), x in real.items()}
+
+
+def _reconstruction_inputs():
+    """Matrix-born phirotopes up to (5, 11), the same with one value rotated
+    by 1e-3, 0.3 or 2.0, and standard-form matrices whose free entries are
+    partly real, with one all-real row and column, for passes 2-4."""
+    rng = np.random.default_rng(56)
+    for r in range(2, 6):
+        for n in range(r + 2, 12):
+            if math.comb(n, r) > 462:
+                continue
+            for _ in range(3):
+                phi = from_matrix(ComplexMatrix.from_complex(
+                    rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))))
+                yield phi
+                for amount in (1e-3, 0.3, 2.0):
+                    angles = phi.angles.copy()
+                    k = int(rng.integers(len(angles)))
+                    angles[k] = (angles[k] + amount) % (2 * math.pi)
+                    yield Phirotope._from_angles(n, r, angles, DEFAULT_TOLERANCE)
+                free = rng.normal(size=(r, n - r)) + 1j * rng.normal(size=(r, n - r))
+                real = rng.random((r, n - r)) < 0.5
+                real[int(rng.integers(r - 1))] = True
+                real[:, int(rng.integers(1, n - r))] = True
+                free[real] = free[real].real
+                free[:, 0] = free[-1] = 1.0
+                yield from_matrix(ComplexMatrix.from_complex(np.hstack([np.eye(r), free])))
+
+
+def test_reconstruct_matches_the_per_equation_reference(nonreal2ex_phi):
+    seen, passes = set(), set()
+    for phi in itertools.chain(_reconstruction_inputs(), [nonreal2ex_phi]):
+        if not is_uniform(phi):
+            continue
+        try:
+            canon = canonicalize(phi)
+        except PhasedMatroidError:
+            continue
+        got = _rebuilt(reconstruct, canon)
+        assert got == _rebuilt(reconstruct_reference, canon)
+        seen.add(got[0])
+        passes |= _passes(canon.canonical)
+    assert {"ok", "InfeasibleTriangleError"} <= seen
+    assert passes == {1, 2, 3, 4}
+
+
+def test_triangle_solve_on_arrays_raises_for_the_first_failing_equation():
+    """Each equation of an array call gives the bits of the one-equation
+    reference, and the first equation that fails raises what the reference
+    raises on it, with its index."""
+    rng = np.random.default_rng(57)
+    angles = rng.uniform(0.0, 2 * math.pi, size=(3, 400))
+    angles[:, :40] = np.round(angles[:, :40] / (math.pi / 2)) * (math.pi / 2) % (2 * math.pi)
+    # alpha and beta 2e-12 apart: at eps 1e-12 the solution fails its phase check
+    angles[:, 40] = 1.3 * math.pi, 0.1 * math.pi, 0.1 * math.pi + 2e-12
+    known = rng.uniform(0.1, 10.0, size=400)
+    unknown1 = rng.random(400) < 0.5
+    unknown1[40] = False
+    s1, s2 = np.where(unknown1, math.nan, known), np.where(unknown1, known, math.nan)
+    tol = Tolerance(1e-12)
+    lone = []
+    for k in range(400):
+        gamma, alpha, beta = (Phase(a) for a in angles[:, k].tolist())
+        sides = (None, known[k]) if unknown1[k] else (known[k], None)
+        try:
+            lone.append(triangle_solve_reference(gamma, alpha, beta, *sides, tol))
+        except PhasedMatroidError as exc:
+            lone.append(exc)
+    failing = [k for k, x in enumerate(lone) if isinstance(x, Exception)]
+    solved = [k for k, x in enumerate(lone) if not isinstance(x, Exception)]
+    assert {type(lone[k]).__name__ for k in failing} == {
+        "DegenerateTriangleError", "InfeasibleTriangleError"}
+    assert "fails phase check" in str(lone[40])
+    got = triangle_solve(*angles[:, solved], s1[solved], s2[solved], tol)
+    assert got.tolist() == [lone[k] for k in solved]
+    for k in failing:
+        order = solved[:3] + [k] + failing[-3:]
+        with pytest.raises(type(lone[k])) as exc:
+            triangle_solve(*angles[:, order], s1[order], s2[order], tol)
+        assert str(exc.value) == str(lone[k]) and exc.value.equation == 3
+
+
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 1e-4, 1e-2, 0.3]))
+@settings(max_examples=300, deadline=None)
+def test_rank2_verdicts_match_the_exact_oracle(n, seed, rotation):
+    """Matrix-born rank-2 inputs, and the same with one value rotated: a
+    Realizable verdict is realizable for the oracle, and NotRealizable and
+    not_a_phirotope are not."""
+    rng = np.random.default_rng(seed)
+    phi = from_matrix(ComplexMatrix.from_complex(
+        rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))))
+    if rotation is not None:
+        angles = phi.angles.copy()
+        k = int(rng.integers(len(angles)))
+        angles[k] = (angles[k] + rotation) % (2 * math.pi)
+        phi = Phirotope._from_angles(n, 2, angles, DEFAULT_TOLERANCE)
+    expected = rank2_realizable(phi)
+    if expected is None:  # parallel rays: the real boundary that waits for ROADMAP item 2
+        return
+    verdict = decide_realizability(phi)
+    if isinstance(verdict, Realizable):
+        assert expected is True
+    elif isinstance(verdict, NotRealizable) or verdict.reason == NOT_A_PHIROTOPE:
+        assert expected is False
+    else:  # every value pinned real: n = 3
+        assert verdict.reason == ESSENTIALLY_ORIENTED and n == 3
+
+
+def test_not_a_phirotope_detail_counts_every_violation_and_names_the_first():
+    """The detail is the count and first pair of check_gp over the sweep the
+    decision ran: all pairs, or those through the witness's disagreeing
+    bases."""
+    rng = np.random.default_rng(58)
+    sweeps = set()
+    for _ in range(120):
+        r = int(rng.integers(1, 5))
+        n = int(rng.integers(r + 1, 10))
+        angles = from_matrix(ComplexMatrix.from_complex(
+            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))).angles.copy()
+        for k in rng.integers(len(angles), size=int(rng.integers(1, 4))):
+            angles[k] = (angles[k] + rng.uniform(0.5, 5.0)) % (2 * math.pi)
+        phi = Phirotope._from_angles(n, r, angles, DEFAULT_TOLERANCE)
+        for mask in (None, rng.random(len(angles)) < 0.2):
+            violations = phi.check_gp(mask)
+            assert phi._first_gp_violation(mask) == (
+                len(violations), violations[0] if violations else None)
+        try:
+            pipeline = realization._decide_from_reconstruction(phi)
+        except PhasedMatroidError:
+            pipeline = None
+        verdict = decide_realizability(phi)
+        if not (isinstance(verdict, Unsupported) and verdict.reason == NOT_A_PHIROTOPE):
+            continue
+        mask = None
+        if isinstance(pipeline, NotRealizable) and pipeline.witness is not None:
+            mask = pipeline.witness.disagreeing
+        violations = phi.check_gp(mask)
+        x, y = violations[0]
+        assert verdict.detail == f"{len(violations)} violations, first at X={x}, Y={y}"
+        sweeps.add(mask is None)
+    assert sweeps == {True, False}
