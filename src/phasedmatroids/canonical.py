@@ -23,7 +23,12 @@ from .errors import (
     PhasedMatroidError,
 )
 from .matrices import _is_integer
-from .phases import VERIFY_TOLERANCE, Phase, _circular_distance_array, _normalize_array
+from .phases import (
+    VERIFY_TOLERANCE,
+    Phase,
+    _circular_distance_array,
+    _opposite,
+)
 from .phirotopes import Phirotope, Rephasing, _bases, _lex_rank, _phase, rephase, scale_global
 
 
@@ -68,10 +73,9 @@ def _exchange_ranks(r: int, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _minor_ranks(r: int, n: int) -> np.ndarray:
-    """The lex rank of the r-subset {1..r} - {a, b} + {c, d} at [p, q], for
-    every a < b <= r < c < d, where p is the lex index of (a, b) among the
-    2-subsets of [r] and q that of (c - r, d - r) among those of [n - r];
-    read-only.  Its C(r, 2) C(n - r, 2) distinct subsets are at most C(n, r)."""
+    """The lex rank of the r-subset {1..r} - {a, b} + {c, d} at
+    [a - 1, b - 1, c - r - 1, d - r - 1], for every a < b <= r < c < d
+    (0 elsewhere); read-only."""
     first = np.arange(1, r + 1)
     rows = np.array(list(itertools.combinations(first.tolist(), 2)), dtype=np.intp).reshape(-1, 2)
     cols = np.array(list(itertools.combinations(range(r + 1, n + 1), 2)),
@@ -81,7 +85,9 @@ def _minor_ranks(r: int, n: int) -> np.ndarray:
     shape = (len(rows), len(cols))
     subsets = np.concatenate([np.broadcast_to(keep[:, None], shape + (r - 2,)),
                               np.broadcast_to(cols[None], shape + (2,))], axis=-1)
-    ranks = _lex_rank(subsets, n)
+    ranks = np.zeros((r, r, n - r, n - r), dtype=np.intp)
+    ranks[rows[:, :1] - 1, rows[:, 1:] - 1, cols[:, 0] - r - 1, cols[:, 1] - r - 1] = \
+        _lex_rank(subsets, n)
     ranks.flags.writeable = False
     return ranks
 
@@ -91,13 +97,9 @@ def _minor_angles(phi: Phirotope, a, b, c, d) -> np.ndarray:
     the arrays a < b <= r < c < d, NaN for zero, bit for bit: phi on
     {1..r} - {a, b} + {c, d}, turned by pi where 2r - a - b - 1, the sign of
     sorting (1..r) with c and d in places a and b, is odd."""
-    r, n = phi.r, phi.n
-    p = _lex_rank(np.stack([a, b], axis=-1), r)
-    q = _lex_rank(np.stack([c, d], axis=-1) - r, n - r)
-    angles = phi.angles[_minor_ranks(r, n)[p, q]]
-    odd = (a + b) % 2 == 0
-    angles[odd] = _normalize_array(angles[odd] + math.pi)
-    return angles
+    r = phi.r
+    angles = phi.angles[_minor_ranks(r, phi.n)[a - 1, b - 1, c - r - 1, d - r - 1]]
+    return np.where((a + b) % 2 == 0, _opposite(angles), angles)
 
 
 def _entry_angles(phi: Phirotope) -> np.ndarray:
@@ -107,7 +109,7 @@ def _entry_angles(phi: Phirotope) -> np.ndarray:
     r = phi.r
     angles = phi.angles[_exchange_ranks(r, phi.n)]
     odd = (r - np.arange(1, r + 1)) % 2 == 1
-    angles[odd] = _normalize_array(angles[odd] + math.pi)
+    angles[odd] = _opposite(angles[odd])
     return angles
 
 

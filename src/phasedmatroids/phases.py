@@ -75,6 +75,15 @@ def _normalize_array(angles: np.ndarray) -> np.ndarray:
     return a
 
 
+def _opposite(angles: np.ndarray) -> np.ndarray:
+    """``_normalize(angle + pi)`` of each angle in [0, 2*pi), bit for bit, as
+    a new array; NaN stays NaN.  The sum lies below 4*pi, so subtracting 2*pi
+    is exact."""
+    turned = angles + math.pi
+    turned -= TAU * (turned >= TAU)
+    return turned
+
+
 def circular_distance(a: float, b: float) -> float:
     """Shortest angular distance between two angles, in [0, pi]."""
     d = abs(_normalize(a) - _normalize(b))
@@ -216,73 +225,63 @@ def triangle_solve(gamma, alpha, beta, s1=None, s2=None,
     gamma = +/-beta (unknown s2) and gamma = +/-alpha (unknown s1).
 
     Many equations are solved at once when gamma, alpha and beta are arrays
-    of angles in [0, 2*pi) (NaN for the zero phase) and s1 and s2 float
-    arrays with NaN on the unknown side of each equation.  Each equation
-    takes the float operations of a lone one, so the solutions are the same
-    bits, and the first equation that fails raises what it would alone, with
-    its index in the error's ``equation``.
+    of angles in [0, 2*pi), the three nonzero phases of each equation, and
+    s1 and s2 float arrays with NaN on the unknown side of each equation:
+    s2 is read where s1 is NaN, and s1 elsewhere.  Each equation takes the
+    float operations of a lone one, so the solutions are the same bits, and
+    the first equation that fails raises what it would alone, with its
+    index in the error's ``equation``.
     """
     if isinstance(gamma, Phase):
         if gamma.is_zero or alpha.is_zero or beta.is_zero:
             raise ValueError("triangular equations need nonzero phases")
         if (s1 is None) == (s2 is None):
             raise ValueError("exactly one of s1, s2 must be unknown")
-        known = s1 if s1 is not None else s2
-        if not 0.0 < known < math.inf:  # NaN fails both comparisons
-            raise ValueError("the known side must be positive and finite")
         one = [np.array([p.angle]) for p in (gamma, alpha, beta)]
-        sides = [np.array([math.nan if s is None else s]) for s in (s1, s2)]
+        sides = [np.array([math.nan if s is None else s], dtype=float) for s in (s1, s2)]
         return triangle_solve(*one, *sides, tol).item()
     a, b, g = alpha, beta, gamma
     unknown1 = np.isnan(s1)  # else s2 is the unknown side
     known = np.where(unknown1, s2, s1)
     eps = tol.eps
-    checks = [  # (failing equations, error) in the order a lone equation checks them
-        (np.isnan(a) | np.isnan(b) | np.isnan(g),
-         lambda k: ValueError("triangular equations need nonzero phases")),
-        (unknown1 == np.isnan(s2), lambda k: ValueError("exactly one of s1, s2 must be unknown")),
-        (~((0.0 < known) & (known < math.inf)),
-         lambda k: ValueError("the known side must be positive and finite")),
-        ((_circular_distance_array(a, b) < eps)
-         | (_circular_distance_array(_normalize_array(a + math.pi), b) < eps),
-         lambda k: DegenerateTriangleError("alpha = +/-beta")),
-    ]
-    ca, sa, cb, sb, cg, sg = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(g), np.sin(g)
-    # unknown s2: s1*ua = s2*ub + t*ug, columns (ub, ug), rhs s1*ua;
-    # unknown s1: s2*ub = s1*ua - t*ug, columns (ua, -ug), rhs s2*ub
-    c1x, c1y = np.where(unknown1, ca, cb), np.where(unknown1, sa, sb)
-    c2x, c2y = np.where(unknown1, -cg, cg), np.where(unknown1, -sg, sg)
-    rhsx, rhsy = np.where(unknown1, cb, ca), np.where(unknown1, sb, sa)
-    det = c1x * c2y - c1y * c2x
-    checks.append((np.abs(det) < eps, lambda k: InfeasibleTriangleError(
-        "gamma is (anti)parallel to the known side: no positive solution")))
-    rx, ry = known * rhsx, known * rhsy
+    bad = [~((0.0 < known) & (known < math.inf)),  # NaN fails both comparisons
+           np.logical_or.reduce(_circular_distance_array(np.array([a, _opposite(a)]), b) < eps)]
+    abg = np.array([a, b, g])
+    units = np.array([np.cos(abg), np.sin(abg)]).transpose(1, 0, 2)  # ua, ub, ug as (x, y)
+    # unknown s2: s1*ua = s2*ub + t*ug, columns c1 = ub, c2 = ug, rhs r = ua;
+    # unknown s1: s2*ub = s1*ua - t*ug, columns c1 = ua, c2 = -ug, rhs r = ub
+    c1, r = np.where(unknown1, units[:2], units[1::-1])
+    sign = np.where(unknown1, -1.0, 1.0)  # multiplying by it is exact
+    c2 = sign * units[2]
     with np.errstate(all="ignore"):  # equations failing an earlier check
-        s = (rx * c2y - ry * c2x) / det
-        t = (c1x * ry - c1y * rx) / det
-    checks.append(((s <= 0.0) | (t <= 0.0), lambda k: InfeasibleTriangleError(
-        f"solved norms not positive: s={s.item(k):.6g}, t={t.item(k):.6g}")))
-    failed = np.logical_or.reduce([bad for bad, _ in checks])
-    # the residual: cmath.phase of s1*ua - s2*ub against gamma, for the
-    # equations that pass every earlier check.  Python's float * complex adds
-    # 0.0 times the other part too, which can change only the sign of a zero
-    # and so not the residual.
-    passed = np.flatnonzero(~failed)
-    side1 = np.where(unknown1, s, known)[passed]
-    side2 = np.where(unknown1, known, s)[passed]
-    check = np.empty(passed.size, dtype=complex)
-    check.real = side1 * ca[passed] - side2 * cb[passed]
-    check.imag = side1 * sa[passed] - side2 * sb[passed]
-    phases = np.fromiter(map(cmath.phase, check.tolist()), dtype=float, count=passed.size)
-    resid = np.full(s.shape, math.nan)
-    resid[passed] = _circular_distance_array(_normalize_array(phases), g[passed])
-    checks.append(((resid > 10 * eps) & (resid > TRIANGLE_RESIDUAL_FLOOR),
-                   lambda k: InfeasibleTriangleError(
-                       f"solution fails phase check (residual {resid.item(k):.3g})")))
-    failed |= checks[-1][0]
-    if failed.any():
-        k = int(np.argmax(failed))
-        error = next(make(k) for bad, make in checks if bad[k])
-        error.equation = k
-        raise error
-    return s
+        kr = known * r
+        x = np.array([c1, kr])  # det and the numerator of s: x cross c2 for x = c1, kr
+        det, s = x[:, 0] * c2[1] - x[:, 1] * c2[0]
+        st = np.array([s, c1[0] * kr[1] - c1[1] * kr[0]]) / det
+        s = st[0]
+        # the residual: cmath.phase of s1*ua - s2*ub against gamma, which is
+        # kr - s*c1, negated when s1 is unknown.  Python's float * complex adds
+        # 0.0 times the other part too, which can change only the sign of a
+        # zero and so not the residual.
+        check = sign * (kr - s * c1)
+    check = np.ascontiguousarray(check.T).view(complex)[:, 0]
+    phases = np.fromiter(map(cmath.phase, check.tolist()), dtype=float, count=len(s))
+    resid = _circular_distance_array(_normalize_array(phases), g)
+    bad = np.array(bad + [np.abs(det) < eps, np.logical_or.reduce(st <= 0.0),
+                          resid > max(10 * eps, TRIANGLE_RESIDUAL_FLOOR)])
+    if not bad.any():
+        return s
+    k = int(np.argmax(bad.any(axis=0)))
+    errors = [  # in the order a lone equation checks them
+        lambda: ValueError("the known side must be positive and finite"),
+        lambda: DegenerateTriangleError("alpha = +/-beta"),
+        lambda: InfeasibleTriangleError(
+            "gamma is (anti)parallel to the known side: no positive solution"),
+        lambda: InfeasibleTriangleError(
+            f"solved norms not positive: s={st.item(0, k):.6g}, t={st.item(1, k):.6g}"),
+        lambda: InfeasibleTriangleError(
+            f"solution fails phase check (residual {resid.item(k):.3g})"),
+    ]
+    error = next(make() for fails, make in zip(bad, errors) if fails[k])
+    error.equation = k
+    raise error

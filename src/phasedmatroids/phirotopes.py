@@ -39,6 +39,7 @@ from .phases import (
     Tolerance,
     _circular_distance_array,
     _normalize_array,
+    _opposite,
     zero_in_hypersum_batch,
 )
 
@@ -348,7 +349,9 @@ class Phirotope:
         bad = []
         for xs, ycols, miss in sweep:
             rows, cols = np.nonzero(miss)
-            bad.extend(zip(map(tuple, xs[rows].tolist()), map(ysubs.__getitem__, ycols[cols].tolist())))
+            xsubs = list(map(tuple, xs.tolist()))
+            bad.extend(zip(map(xsubs.__getitem__, rows.tolist()),
+                           map(ysubs.__getitem__, ycols[cols].tolist())))
         bad.sort()
         return bad
 
@@ -383,8 +386,7 @@ class Phirotope:
             raise PhasedMatroidError(
                 f"{pairs} Grassmann-Pluecker pairs exceed the cap of {MAX_GP_PAIRS}")
         ang = self.angles
-        neg = ang + math.pi  # the angles of -phi, in [0, 2*pi) like ang
-        neg -= TAU * (neg >= TAU)
+        neg = _opposite(ang)  # the angles of -phi
         # ey[e, Y] = angle of phi(e, *Y), NaN when e is in Y; row 0 is unused.
         # When Y is the basis b without its k-th element e, phi(e, *Y) = (-1)^k phi(b).
         ny = math.comb(n, r - 1)

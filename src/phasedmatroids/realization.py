@@ -94,15 +94,14 @@ def _solve_pass(phi, entries, norms, i, j, m, k):
     minor on rows {i, m} and columns {j, k}, whose other three norms are
     known, in one ``triangle_solve`` call; the solutions are written into
     ``norms``.  ``entries`` holds the entry angles of ``_entry_angles``."""
-    r = phi.r
     a, b = np.minimum(i, m), np.maximum(i, m)
     c, d = np.minimum(j, k), np.maximum(j, k)
-    ac, ad = norms[a - 1, c - 1], norms[a - 1, d - 1]
-    bc, bd = norms[b - 1, c - 1], norms[b - 1, d - 1]
-    phase1 = _normalize_array(entries[a - 1, c - r - 1] + entries[b - 1, d - r - 1])
-    phase2 = _normalize_array(entries[a - 1, d - r - 1] + entries[b - 1, c - r - 1])
+    rows, cols = np.array([a, a, b, b]) - 1, np.array([c, d, d, c]) - 1
+    ac, ad, bd, bc = norms[rows, cols]
+    # the phases of the products ac*bd and ad*bc of entries, as Phase products
+    phase1, phase2 = _normalize_array(entries[rows[:2], cols[:2] - phi.r]
+                                      + entries[rows[2:], cols[2:] - phi.r])
     unknown1 = (i == a) == (j == c)  # (i, j) is (a, c) or (b, d): s1 is unknown
-    cofactor = np.where(unknown1, np.where(i == a, bd, ac), np.where(i == a, bc, ad))
     s1 = np.where(unknown1, math.nan, ac * bd)
     s2 = np.where(unknown1, ad * bc, math.nan)
     try:
@@ -112,7 +111,7 @@ def _solve_pass(phi, entries, norms, i, j, m, k):
         e = exc.equation
         raise InfeasibleTriangleError(
             f"minor rows {{{a[e]},{b[e]}}} cols {{{c[e]},{d[e]}}}: {exc}") from exc
-    norms[i - 1, j - 1] = solved / cofactor
+    norms[i - 1, j - 1] = solved / norms[m - 1, k - 1]  # over the opposite corner
 
 
 def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
@@ -156,11 +155,10 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
         passes = np.where(non_real, 1, np.where(in_row, 2, np.where(in_col, 3, 4)))
         m = np.where(passes <= 2, r, np.where(passes == 3, col_anchor, first[0] + 1))
         k = np.where(passes % 2 == 1, r + 1, np.where(passes == 2, row_anchor, first[1] + r + 2))
-        for step in range(1, 5):
+        for step in np.flatnonzero(np.bincount(passes.ravel(), minlength=5)):
             on = passes == step
-            if on.any():
-                i, j = np.nonzero(on)
-                _solve_pass(canonical, entries, norms, i + 1, j + r + 2, m[on], k[on])
+            i, j = np.nonzero(on)
+            _solve_pass(canonical, entries, norms, i + 1, j + r + 2, m[on], k[on])
 
     angles = np.zeros((r, n))
     angles[:, r:] = entries
