@@ -5,7 +5,8 @@ normalized angle in [0, 2*pi).  Zero lies in the hypersum of a finite phase
 set when some strictly positive combination of the phases vanishes;
 ``zero_in_hypersum_batch`` decides that for many sets at once, and every
 Grassmann-Pluecker verdict goes through it.  The triangular-equation solver
-recovers the one unknown positive norm in gamma = ph(s1*alpha - s2*beta).
+recovers the one unknown positive norm in gamma = ph(s1*alpha - s2*beta), for
+one equation or an array of them.
 """
 
 from __future__ import annotations

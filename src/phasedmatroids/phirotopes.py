@@ -84,19 +84,22 @@ def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:
     ``subsets``, in the order of ``itertools.combinations(range(1, n + 1), s)``:
     C(n, s) - 1 - sum_i C(n - c_i, s - i + 1), with 1-based c_i and i."""
     s = subsets.shape[-1]
-    binom = _binomials(n, s)
-    return binom[n, s] - 1 - binom[n - subsets, np.arange(s, 0, -1)].sum(axis=-1)
+    total, terms = _rank_terms(n, s)
+    return total - 1 - terms[np.arange(s), subsets - np.arange(1, s + 1)].sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=32)
-def _binomials(n: int, s: int) -> np.ndarray:
-    """C(a, b) at [a, b] for a <= n and b <= s, capped at C(n, s); read-only.
-    A lex rank of an s-subset of [n] reads no larger entry, and the cap keeps
-    the table int64 wherever C(n, s) fits."""
-    cap = math.comb(n, s)
-    binom = np.array([[min(math.comb(a, b), cap) for b in range(s + 1)] for a in range(n + 1)])
-    binom.flags.writeable = False
-    return binom
+def _rank_terms(n: int, s: int):
+    """C(n, s) and the terms of ``_lex_rank``: C(n - i - t, s - i + 1) at
+    [i - 1, t], for the i-th element i + t of a sorted s-subset of [n], so
+    0 <= t <= n - s; read-only.  Each term is below C(n, s), so the table is
+    int64 wherever C(n, s) fits, and it has s (n - s + 1) entries."""
+    total = math.comb(n, s)
+    terms = np.array([[math.comb(n - i - t, s - i + 1) for t in range(n - s + 1)]
+                      for i in range(1, s + 1)],
+                     dtype=np.int64 if total < 2**63 else object).reshape(s, n - s + 1)
+    terms.flags.writeable = False
+    return terms.dtype.type(total), terms
 
 
 @dataclass(frozen=True)

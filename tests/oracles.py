@@ -466,3 +466,17 @@ def rank2_realizable(phi):
         if circular_distance(cmath.phase(d), cmath.phase(value(i, j))) >= VERIFY_TOLERANCE.eps:
             return False
     return True
+
+
+def matrix_to_json_reference(m):
+    """``jsonio.matrix_to_json`` one entry at a time, through ``entry_norm``
+    and ``entry_phase``."""
+    entries = []
+    for i in range(1, m.rows + 1):
+        row = []
+        for j in range(1, m.cols + 1):
+            norm = m.entry_norm(i, j)
+            row.append(None if norm == 0.0 else
+                       {"norm": norm, "angle_over_pi": m.entry_phase(i, j).angle_over_pi})
+        entries.append(row)
+    return {"rows": m.rows, "cols": m.cols, "entries": entries}

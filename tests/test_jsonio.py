@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 
 import numpy as np
@@ -33,7 +34,12 @@ from phasedmatroids.jsonio import (
 )
 
 from conftest import load_fixture
-from oracles import isclose, max_entry_distance, phirotope_from_json_reference
+from oracles import (
+    isclose,
+    matrix_to_json_reference,
+    max_entry_distance,
+    phirotope_from_json_reference,
+)
 
 
 def _phases_back(*phases):
@@ -66,6 +72,22 @@ def test_matrix_roundtrip():
     m = ComplexMatrix.from_complex(arr)
     back = matrix_from_json(matrix_to_json(m))
     assert max_entry_distance(back, m) < 1e-12
+
+
+def test_matrix_to_json_matches_the_per_entry_emit():
+    """The same document as one entry_norm and entry_phase call per entry,
+    also for a zero entry and a stored angle of exactly 2*pi, which np.mod
+    gives for a tiny negative angle and entry_phase reads as 0."""
+    rng = np.random.default_rng(59)
+    arr = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+    arr[2, 5] = 0.0
+    angles = np.angle(arr)
+    angles[1, 3] = -1e-300
+    m = ComplexMatrix(np.abs(arr), angles)
+    assert m.angles[1, 3] == 2 * math.pi
+    doc = matrix_to_json(m)
+    assert json.dumps(doc) == json.dumps(matrix_to_json_reference(m))
+    assert doc["entries"][1][3]["angle_over_pi"] == 0.0 and doc["entries"][2][5] is None
 
 
 def test_matrix_schema_errors():

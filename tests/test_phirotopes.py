@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from phasedmatroids import (
+    DEFAULT_TOLERANCE,
     ComplexMatrix,
     IndexOutOfRangeError,
     InvalidPhirotopeError,
@@ -22,6 +23,8 @@ from phasedmatroids import (
     Phirotope,
     RankDeficientError,
     Rephasing,
+    Unsupported,
+    decide_realizability,
     from_matrix,
     is_uniform,
     minor_phase,
@@ -31,9 +34,9 @@ from phasedmatroids import (
     verify,
 )
 from phasedmatroids import phirotopes
-from phasedmatroids.jsonio import matrix_from_json
+from phasedmatroids.jsonio import matrix_from_json, phirotope_from_json, phirotope_to_json
 from phasedmatroids.phases import zero_in_hypersum_batch
-from phasedmatroids.phirotopes import _basis_rank, _lex_rank, sort_with_sign
+from phasedmatroids.phirotopes import _basis_rank, _lex_rank, _rank_terms, sort_with_sign
 
 from conftest import load_fixture
 from oracles import angles_of, basis_exchange_failure, isclose, scaled, unit
@@ -442,6 +445,20 @@ def test_lex_rank_is_the_position_in_combinations(n):
         ranks = _lex_rank(np.array(subsets), n)
         assert ranks.tolist() == list(range(len(subsets))), (n, r)
         assert [_basis_rank(b, n) for b in subsets] == list(range(len(subsets))), (n, r)
+
+
+def test_lex_rank_reads_only_terms_below_the_subset_count():
+    """The rank table of (n - 1)-subsets of [70] holds no C(70, 35), which
+    does not fit int64: ranks stay integers, so a (69, 70) phirotope parses,
+    validates and is decided, and a one-record (n, n) document reads a table
+    of n entries."""
+    rng = np.random.default_rng(60)
+    m = ComplexMatrix.from_complex(rng.normal(size=(69, 70)) + 1j * rng.normal(size=(69, 70)))
+    phi = phirotope_from_json(phirotope_to_json(from_matrix(m)), DEFAULT_TOLERANCE)
+    assert phi.angles.size == 70 and phi.check_gp() == []
+    assert isinstance(decide_realizability(phi), Unsupported)  # every value is pinned
+    total, terms = _rank_terms(2000, 2000)
+    assert total == 1 and terms.shape == (2000, 1) and terms.dtype == np.int64
 
 
 def test_check_gp_memory_is_bounded_by_the_block():
