@@ -284,7 +284,8 @@ def is_canonical(phi: Phirotope) -> bool:
 def _real(angles: np.ndarray, eps: float) -> np.ndarray:
     """Whether each angle is within eps of 0 or pi, as ``Phase.is_real``
     judges it; False for NaN."""
-    return (_circular_distance_array(angles, 0.0) < eps) | (_circular_distance_array(angles, math.pi) < eps)
+    return ((_circular_distance_array(angles, 0.0) < eps)
+            | (_circular_distance_array(angles, math.pi) < eps))
 
 
 def is_real_valued(phi: Phirotope) -> bool:

@@ -171,7 +171,7 @@ def _checked_records(items: list, n: int, r: int):
     array with one row per record, values the ``angle_over_pi`` times pi of
     each, NaN for a null phase.  None also when n exceeds the integer array's
     range and some basis element does; such a list is shorter than n."""
-    # a dict of one or two entries that has the keys asked for has no others
+    # a dict with as many entries as keys asked for, all of them present, has no others
     if not (_all_types(items, dict) and set(map(len, items)) <= {2}):
         return None
     try:
