@@ -9,6 +9,7 @@ input (essentially oriented, non-uniform, disconnected).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -129,6 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses: ``build_parser()``, built on the first call
+    and kept for the process, since parsing does not change it."""
+    return build_parser()
+
+
 def _execute(args) -> tuple[dict, int]:
     """The report and exit code of one parsed command line."""
     try:
@@ -162,7 +170,7 @@ def _execute(args) -> tuple[dict, int]:
 def run(argv=None) -> int:
     """Run one command; the report goes to ``--output``, or to stdout when
     ``--output`` is not given or cannot be written."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     report, code = _execute(args)
     if args.output:
         try:

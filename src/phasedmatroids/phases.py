@@ -167,6 +167,28 @@ def phase_of(z: complex) -> Phase:
     return Phase(_normalize(cmath.phase(z)))
 
 
+#: Optimal sorting networks (fewest comparators) for m <= 6 inputs, as the
+#: (i, j) pairs, i < j, whose comparator puts the smaller value at i; above 6,
+#: ``_sorting_network`` falls back on odd-even transposition.
+_SORTING_NETWORKS = {
+    1: (),
+    2: ((0, 1),),
+    3: ((0, 2), (0, 1), (1, 2)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    5: ((0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3), (1, 2)),
+    6: ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3),
+        (4, 5), (1, 2), (3, 4)),
+}
+
+
+def _sorting_network(m: int) -> tuple:
+    """The comparators that sort m values: ``_SORTING_NETWORKS[m]``, or the
+    m rounds of odd-even transposition above 6."""
+    if m in _SORTING_NETWORKS:
+        return _SORTING_NETWORKS[m]
+    return tuple((i, i + 1) for step in range(m) for i in range(step % 2, m - 1, 2))
+
+
 def zero_in_hypersum_batch(angles: np.ndarray, eps: float) -> np.ndarray:
     """Zero membership of the hypersum, for each column of an angle array.
 
@@ -178,36 +200,46 @@ def zero_in_hypersum_batch(angles: np.ndarray, eps: float) -> np.ndarray:
     above eps split them into exactly two clusters whose first angles are
     antipodal within eps.  Returns a boolean array of length rows.  Used by
     the Grassmann-Pluecker checker, where every column is the term multiset of
-    one (X, Y) pair.  Every operation runs along the long axis, over the m
-    short rows; the sort is an odd-even transposition network of exact
-    minimum/maximum steps, so it gives the same values as ``np.sort``.
+    one (X, Y) pair.  The m rows are sorted by ``_sorting_network``, whose
+    comparators are exact minimum/maximum steps, so they hold the values
+    ``np.sort`` gives; the largest gap is taken row difference by row
+    difference, and only the columns that fail the gap test are gathered for
+    the two-cluster test.
     """
     m, rows = angles.shape
     largest = np.fmax.reduce(angles, axis=0)  # NaN only for a column of zeros
     # zeros repeat the largest nonzero phase, so they sort last and the gaps
     # after it are 0; a column of zeros holds 2*pi
-    ang = np.fmin(angles, np.fmin(largest, TAU), out=angles)
-    low = np.empty(rows)
-    for step in range(m):
-        for i in range(step % 2, m - 1, 2):
-            np.minimum(ang[i], ang[i + 1], out=low)
-            np.maximum(ang[i], ang[i + 1], out=ang[i + 1])
-            ang[i] = low
-    gaps = np.empty((m, rows))
-    np.subtract(ang[1:], ang[:-1], out=gaps[:-1])
-    gaps[-1] = TAU - (ang[-1] - ang[0])  # wrap-around gap
-    full = gaps.max(axis=0) < math.pi - eps
+    np.fmin(angles, np.fmin(largest, TAU), out=angles)
+    # each comparator writes its minimum to a spare row and its maximum in
+    # place, then the spare takes the place of the row it replaced
+    row = list(angles)
+    spare = np.empty(rows)
+    for i, j in _sorting_network(m):
+        np.minimum(row[i], row[j], out=spare)
+        np.maximum(row[i], row[j], out=row[j])
+        row[i], spare = spare, row[i]
+    gap = np.subtract(TAU, np.subtract(row[-1], row[0], out=spare))  # wrap-around
+    for k in range(m - 1):
+        np.maximum(gap, np.subtract(row[k + 1], row[k], out=spare), out=gap)
+    found = np.isnan(largest)
+    found |= gap < math.pi - eps
     # remaining sets fit in a closed half-circle: zero is present only for an
     # exact antipodal pair of distinct phases.  Gaps above eps split a set into
     # clusters; for two of them, compare the first angle with the first angle
     # separated from it by more than eps.
-    two = ~full & ((gaps > eps).sum(axis=0) == 2)
-    a = ang[:, two]
-    other = np.where(a - a[:1] > eps, a, np.inf).min(axis=0)
-    d = np.abs(other - a[0])
-    antip = np.zeros(rows, dtype=bool)
-    antip[two] = np.abs(np.minimum(d, TAU - d) - math.pi) < eps
-    return np.isnan(largest) | full | antip
+    rest = np.flatnonzero(~found)
+    if rest.size:
+        a = np.empty((m, rest.size))
+        for k in range(m):
+            # "clip" writes straight into out ("raise" buffers it); every
+            # index is valid
+            np.take(row[k], rest, out=a[k], mode="clip")
+        two = (a[1:] - a[:-1] > eps).sum(axis=0) + (TAU - (a[-1] - a[0]) > eps) == 2
+        other = np.where(a - a[0] > eps, a, np.inf).min(axis=0)
+        d = np.abs(other - a[0])
+        found[rest] = two & (np.abs(np.minimum(d, TAU - d) - math.pi) < eps)
+    return found
 
 
 def triangle_solve(gamma, alpha, beta, s1=None, s2=None,

@@ -128,6 +128,16 @@ def _bases(n: int, r: int) -> np.ndarray:
     return bases
 
 
+@functools.lru_cache(maxsize=8)
+def _scatter_ranks(n: int, r: int) -> np.ndarray:
+    """ranks[k, b]: the ``_lex_rank`` of basis b of ``_bases(n, r)`` without
+    its k-th element, an (r-1)-subset; read-only."""
+    bases = _bases(n, r)
+    ranks = np.array([_lex_rank(np.delete(bases, k, axis=1), n) for k in range(r)])
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _gp_rectangles(n: int, r: int, touching):
     """The (X, Y) pairs ``Phirotope.check_gp`` sweeps and their count.
 
@@ -166,8 +176,8 @@ def _touching_rectangles(touching: np.ndarray, n: int, r: int, ny: int):
     xa = xa[list(in_a.values())]
     # E_Y for each Y = B - {e}, then the Y of each E_Y
     e_of_y = {}
-    for k in range(r):
-        for y, e in zip(_lex_rank(np.delete(d, k, axis=1), n).tolist(), d[:, k].tolist()):
+    for k, ranks in enumerate(_scatter_ranks(n, r)[:, touching]):
+        for y, e in zip(ranks.tolist(), d[:, k].tolist()):
             e_of_y.setdefault(y, set()).add(e)
     groups = {}
     for y, es in sorted(e_of_y.items()):
@@ -178,6 +188,7 @@ def _touching_rectangles(touching: np.ndarray, n: int, r: int, ny: int):
         * len(yg) for es, yg in groups.items())
 
     def rectangles():
+        drop = [[j for j in range(r + 1) if j != k] for k in range(r + 1)]
         step = max(1, GP_BLOCK_COLUMNS // ny)
         for i in range(0, len(xa), step):
             yield xa[i:i + step], slice(None)
@@ -189,8 +200,8 @@ def _touching_rectangles(touching: np.ndarray, n: int, r: int, ny: int):
                 others = bases[~_meets(bases, es[:i + 1])]
                 parts.append(_inserted(others, np.full(len(others), e)))
             xs = np.concatenate(parts)
-            xs = xs[np.fromiter((x not in in_a for x in _lex_rank(xs, n).tolist()),
-                                dtype=bool, count=len(xs))]
+            # outside S_A: no X minus one of its elements is in D
+            xs = xs[~touching[_lex_rank(xs[:, drop], n)].any(axis=1)]
             step = max(1, GP_BLOCK_COLUMNS // len(yg))
             for i in range(0, len(xs), step):
                 yield xs[i:i + step], np.array(yg)
@@ -395,8 +406,8 @@ class Phirotope:
         ny = math.comb(n, r - 1)
         bases = _bases(n, r)
         ey = np.full((n + 1, ny), math.nan)
-        for k in range(r):
-            ey[bases[:, k], _lex_rank(np.delete(bases, k, axis=1), n)] = neg if k % 2 else ang
+        for k, ranks in enumerate(_scatter_ranks(n, r)):
+            ey[bases[:, k], ranks] = neg if k % 2 else ang
         return self._gp_misses(rectangles, pairs, ey, neg)
 
     def _gp_misses(self, rectangles, pairs, ey, neg):

@@ -151,6 +151,34 @@ def zero_in_hypersum_row_major(units, eps):
     return (cnt == 0) | full | antip
 
 
+def zero_in_hypersum_batch_reference(angles, eps):
+    """The zero-membership kernel before its sorting networks: an odd-even
+    transposition sort of every column, the gaps as one (m, rows) array and
+    the two-cluster test on every column.  Kept as the bit-for-bit reference
+    for ``phases.zero_in_hypersum_batch``; overwrites ``angles`` as it does."""
+    tau = 2.0 * np.pi
+    m, rows = angles.shape
+    largest = np.fmax.reduce(angles, axis=0)  # NaN only for a column of zeros
+    ang = np.fmin(angles, np.fmin(largest, tau), out=angles)
+    low = np.empty(rows)
+    for step in range(m):
+        for i in range(step % 2, m - 1, 2):
+            np.minimum(ang[i], ang[i + 1], out=low)
+            np.maximum(ang[i], ang[i + 1], out=ang[i + 1])
+            ang[i] = low
+    gaps = np.empty((m, rows))
+    np.subtract(ang[1:], ang[:-1], out=gaps[:-1])
+    gaps[-1] = tau - (ang[-1] - ang[0])  # wrap-around gap
+    full = gaps.max(axis=0) < np.pi - eps
+    two = ~full & ((gaps > eps).sum(axis=0) == 2)
+    a = ang[:, two]
+    other = np.where(a - a[:1] > eps, a, np.inf).min(axis=0)
+    d = np.abs(other - a[0])
+    antip = np.zeros(rows, dtype=bool)
+    antip[two] = np.abs(np.minimum(d, tau - d) - np.pi) < eps
+    return np.isnan(largest) | full | antip
+
+
 def basis_exchange_failure(bases):
     """A triple (B1, B2, x), x in B1 - B2, such that B1 - {x} + {y} is a basis
     for no y in B2 - B1; None when the set system satisfies the

@@ -285,3 +285,35 @@ def test_realize_reports_the_violations_validate_lists(tmp_path, capsys, r, n):
             "verdict": "Unsupported", "reason": "not_a_phirotope",
             "detail": f"{len(violations)} violations, first at "
                       f"X={tuple(first['X'])}, Y={tuple(first['Y'])}"}
+
+
+def test_consecutive_runs_match_fresh_processes(capsys):
+    """``run`` builds its parser once per process: calls in one process give
+    the stdout bytes, stderr text and exit code of fresh processes, with a
+    --pretty call, a --tol call and a usage error between ordinary calls."""
+    phi = str(FIXTURES / "realizable_rank3_phirotope.json")
+    matrix = str(FIXTURES / "runex_matrix.json")
+    calls = [["validate", "--input", phi],
+             ["canonicalize", "--input", phi, "--pretty"],
+             ["from-matrix", "--input", matrix],
+             ["realize", "--input", phi, "--tol", "1e-6"],
+             ["validate", "--input", phi],
+             ["tree", "--pretty"],  # no --input: argparse exits 2
+             ["realize", "--input", phi],
+             ["orient-check", "--input", phi]]
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    codes = []
+    for argv in calls:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "phasedmatroids.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert (code, out.encode(), err) == (
+            proc.returncode, proc.stdout, proc.stderr.decode()), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 0, 2, 0, 0]

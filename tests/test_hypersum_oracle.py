@@ -2,17 +2,27 @@
 pinned bits on rows at the eps boundary, where the optimizer cannot judge."""
 
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasedmatroids import Phase
-from phasedmatroids.phases import zero_in_hypersum_batch
+from phasedmatroids.phases import (
+    _SORTING_NETWORKS,
+    _normalize_array,
+    _sorting_network,
+    zero_in_hypersum_batch,
+)
 
 from oracles import (
     angles_of,
     unit,
     zero_in_hypersum,
+    zero_in_hypersum_batch_reference,
     zero_in_hypersum_bruteforce,
     zero_in_hypersum_row_major,
 )
@@ -106,3 +116,56 @@ def test_angle_input_cases_are_pinned():
     ]
     angles = np.array([c for c, _ in columns]).T
     assert zero_in_hypersum_batch(angles, 1e-9).tolist() == [e for _, e in columns]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_sorting_networks_sort_every_zero_one_vector(m):
+    """By the 0-1 principle (Knuth, TAOCP 5.3.4), a comparator network that
+    sorts all 2^m vectors of 0s and 1s sorts every input of m values."""
+    network = _sorting_network(m)
+    assert all(0 <= i < j < m for i, j in network)
+    v = np.array(list(itertools.product([0.0, 1.0], repeat=m))).T.reshape(m, -1)
+    for i, j in network:
+        low = np.minimum(v[i], v[j])
+        v[j] = np.maximum(v[i], v[j])
+        v[i] = low
+    assert (np.diff(v, axis=0) >= 0).all()
+
+
+def test_the_optimal_networks_have_the_fewest_comparators():
+    assert [len(_SORTING_NETWORKS[m]) for m in range(1, 7)] == [0, 1, 3, 5, 9, 12]
+    assert len(_sorting_network(7)) == 21  # odd-even transposition above 6
+
+
+def _adversarial_angles(rng, m, width, eps):
+    """An (m, width) angle batch with NaN for zero terms: random zero masks
+    with all-zero columns; columns of uniform angles, of multiples of pi/4
+    jittered by 0, +-eps/2, +-eps or +-2 eps, and of angles in an arc of
+    pi + eps + jitter, whose largest gap sits next to pi - eps."""
+    jitter = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0], size=(m, width)) * eps
+    quarter = rng.integers(0, 8, size=(m, width)) * (math.pi / 4) + jitter
+    uniform = rng.uniform(0.0, 2 * math.pi, size=(m, width))
+    start = rng.uniform(0.0, 2 * math.pi, size=width)
+    arc = math.pi + eps + jitter[0]
+    inside = rng.uniform(0.0, 1.0, size=(m, width)) * arc
+    inside[0], inside[-1] = 0.0, arc  # both ends of the arc are terms
+    arcs = (start + rng.permuted(inside, axis=0)) % (2 * math.pi)
+    kind = rng.integers(0, 3, size=width)
+    angles = _normalize_array(np.choose(kind, [uniform, quarter, arcs]))
+    zeros = rng.random((m, width)) < rng.choice([0.0, 0.2, 0.5])
+    zeros[:, rng.random(width) < 0.05] = True
+    angles[zeros] = math.nan
+    return angles
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 8), width=st.integers(1, 2**14),
+       eps=st.sampled_from([1e-12, 1e-9, 1e-6, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_its_reference_on_adversarial_batches(m, width, eps, seed):
+    """The sorting networks, the gap taken row by row and the two-cluster
+    test on the columns that fail the gap test give the booleans of the
+    earlier kernel, which sorted by odd-even transposition and tested every
+    column."""
+    angles = _adversarial_angles(np.random.default_rng(seed), m, width, eps)
+    expected = zero_in_hypersum_batch_reference(angles.copy(), eps)
+    assert np.array_equal(zero_in_hypersum_batch(angles, eps), expected)
