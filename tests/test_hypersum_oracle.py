@@ -1,5 +1,7 @@
-"""Zero membership of the hypersum: against the brute-force optimizer, and
-pinned bits on rows at the eps boundary, where the optimizer cannot judge."""
+"""Zero membership of the hypersum: against the brute-force optimizer,
+pinned bits on rows at the eps boundary, where the optimizer cannot judge,
+and the earlier kernel on adversarial batches; the sorting networks by the
+0-1 principle."""
 
 import hashlib
 import itertools
@@ -124,7 +126,7 @@ def test_sorting_networks_sort_every_zero_one_vector(m):
     sorts all 2^m vectors of 0s and 1s sorts every input of m values."""
     network = _sorting_network(m)
     assert all(0 <= i < j < m for i, j in network)
-    v = np.array(list(itertools.product([0.0, 1.0], repeat=m))).T.reshape(m, -1)
+    v = np.array(list(itertools.product([0.0, 1.0], repeat=m))).T
     for i, j in network:
         low = np.minimum(v[i], v[j])
         v[j] = np.maximum(v[i], v[j])
