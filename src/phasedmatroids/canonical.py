@@ -118,7 +118,7 @@ def associated_bipartite_graph(phi: Phirotope) -> frozenset:
     matroid: (i, j) is an edge iff {1..r} - {i} + {j} is a basis.  Read from
     r(n-r)+1 values, since the bases are the supports of the nonzero values.
 
-    phi must satisfy the Grassmann-Pluecker relations, as validated and
+    phi must satisfy the Grassmann-Pluecker relations, as checked and
     matrix-born phirotopes do; the supports then satisfy the basis-exchange
     axiom, which is not checked.  Proof: take bases B1, B2 and x in B1 - B2.
     The relation at X = B2 + {x}, Y = B1 - {x} has the nonzero term
@@ -239,7 +239,7 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     The rephasing is propagated along the canonical spanning tree with the
     gauge rho[r+1] = 1 (rho[1] = 1 when n = r = 1); the global phase then
     normalizes the value on {1, ..., r} to 1.  Requires phi to satisfy the
-    Grassmann-Pluecker relations (validated and matrix-born phirotopes do),
+    Grassmann-Pluecker relations (checked or matrix-born phirotopes do),
     {1..r} to be a basis and the associated bipartite graph to be connected
     (direct sums are rejected).
     """

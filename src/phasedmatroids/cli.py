@@ -48,8 +48,15 @@ def _violations_json(violations) -> list:
     return [{"X": list(x), "Y": list(y)} for x, y in violations]
 
 
+def _checked_phirotope(doc, tol):
+    """The parsed phirotope, after the full Grassmann-Pluecker sweep."""
+    phi = jsonio.phirotope_from_json(doc, tol)
+    phi._require_gp()
+    return phi
+
+
 def _cmd_validate(doc, tol):
-    phi = jsonio.phirotope_from_json(doc, tol, validate=False)
+    phi = jsonio.phirotope_from_json(doc, tol)
     violations = phi.check_gp()
     report = {"valid": not violations, "violations": _violations_json(violations)}
     return report, EXIT_OK if not violations else EXIT_NEGATIVE
@@ -62,18 +69,18 @@ def _cmd_from_matrix(doc, tol):
 
 
 def _cmd_canonicalize(doc, tol):
-    phi = jsonio.phirotope_from_json(doc, tol)
+    phi = _checked_phirotope(doc, tol)
     result = canonicalize(phi)
     return jsonio.canonicalization_to_json(result), EXIT_OK
 
 
 def _cmd_orient_check(doc, tol):
-    phi = jsonio.phirotope_from_json(doc, tol)
+    phi = _checked_phirotope(doc, tol)
     return {"essentially_oriented": is_essentially_oriented(phi)}, EXIT_OK
 
 
 def _cmd_realize(doc, tol):
-    phi = jsonio.phirotope_from_json(doc, tol, validate=False)
+    phi = jsonio.phirotope_from_json(doc, tol)
     verdict = decide_realizability(phi)
     report = jsonio.verdict_to_json(verdict)
     if isinstance(verdict, NotRealizable):
@@ -88,7 +95,7 @@ def _cmd_realize(doc, tol):
 def _cmd_verify(doc, tol):
     if not isinstance(doc, dict) or "phirotope" not in doc or "matrix" not in doc:
         raise jsonio.FormatError('verify expects {"phirotope": ..., "matrix": ...}')
-    phi = jsonio.phirotope_from_json(doc["phirotope"], tol, validate=False)
+    phi = jsonio.phirotope_from_json(doc["phirotope"], tol)
     m = jsonio.matrix_from_json(doc["matrix"])
     if (m.rows, m.cols) != (phi.r, phi.n):
         raise jsonio.FormatError(
@@ -100,7 +107,7 @@ def _cmd_verify(doc, tol):
 
 
 def _cmd_tree(doc, tol):
-    phi = jsonio.phirotope_from_json(doc, tol)
+    phi = _checked_phirotope(doc, tol)
     forest = canonical_spanning_forest(phi)
     return {"forest": jsonio.forest_to_json(forest),
             "components": forest.component_count}, EXIT_OK

@@ -45,7 +45,8 @@ class EssentiallyOrientedError(PhasedMatroidError):
 
 
 class InvalidPhirotopeError(PhasedMatroidError):
-    """Construction-time Grassmann-Pluecker validation failed."""
+    """The full Grassmann-Pluecker sweep found violations, listed in
+    ``violations``; raised only by ``Phirotope._require_gp``."""
 
     def __init__(self, violations):
         self.violations = violations

@@ -20,7 +20,7 @@ from .canonical import CanonicalizationResult, SpanningForest
 from .errors import PhasedMatroidError
 from .matrices import ComplexMatrix, _is_integer
 from .phases import Phase, Tolerance, _normalize_array
-from .phirotopes import Phirotope, Rephasing, _lex_rank
+from .phirotopes import Phirotope, Rephasing, _in_lex_order, _lex_rank
 from .realization import (
     NotRealizable,
     Realizable,
@@ -114,8 +114,9 @@ def phirotope_to_json(phi: Phirotope) -> dict:
     }
 
 
-def phirotope_from_json(obj: Any, tolerance: Tolerance,
-                        validate: bool = True) -> Phirotope:
+def phirotope_from_json(obj: Any, tolerance: Tolerance) -> Phirotope:
+    """The phirotope of a JSON document, built from its angles: the
+    Grassmann-Pluecker relations are not checked."""
     if not isinstance(obj, dict):
         raise FormatError("phirotope must be a JSON object")
     try:
@@ -128,7 +129,7 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance,
         raise FormatError("values must be a list")
     angles = _value_angles(items, n, r)
     try:
-        return Phirotope._from_angles(n, r, angles, tolerance, validate)
+        return Phirotope._from_angles(n, r, angles, tolerance)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -138,12 +139,11 @@ def _value_angles(items: list, n: int, r: int) -> np.ndarray:
 
     The records are checked as whole lists (``_checked_records``), and a
     list with each sorted r-subset once, C(n, r) records, is scattered into
-    place by lex rank.  Any other list raises :class:`FormatError`: its
-    records are walked one at a time (``_walk_records``) so that the first
-    faulty record or repeated basis in document order names the error, then
-    a list of fewer than n records (one when r = n) is refused, before
-    C(n, r) is computed, and otherwise the first missing basis in lex order
-    is named.
+    place by lex rank.  Any other list is walked one record at a time
+    (``_walk_records``), so that the first faulty record or repeated basis in
+    document order names the :class:`FormatError`, and then listed by
+    ``phirotopes._in_lex_order``, the mapping constructor's completeness
+    rule, whose refusal of a short list or a missing basis becomes one.
     """
     records = _checked_records(items, n, r)
     if records is not None and len(items) >= (n if r < n else 1):
@@ -157,12 +157,11 @@ def _value_angles(items: list, n: int, r: int) -> np.ndarray:
                 angles = np.empty(total)
                 angles[ranks] = values
                 return _normalize_array(angles)
-    keys = _walk_records(items, n, r)
-    if len(keys) < (n if r < n else 1):
-        raise FormatError(f"expected C({n}, {r}) values, got {len(keys)}: "
-                          "every sorted r-subset must appear exactly once")
-    missing = next(b for b in itertools.combinations(range(1, n + 1), r) if b not in keys)
-    raise FormatError(f"missing value for basis {missing}")
+    walked = _walk_records(items, n, r)
+    try:
+        return _normalize_array(np.array(_in_lex_order(n, r, walked)))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _checked_records(items: list, n: int, r: int):
@@ -220,12 +219,12 @@ def _all_types(objects, kinds, but=()) -> bool:
     return all(issubclass(t, kinds) and not issubclass(t, but) for t in set(map(type, objects)))
 
 
-def _walk_records(items: list, n: int, r: int) -> set:
-    """The bases of the value records as tuples, checked one record at a
-    time in document order: raises :class:`FormatError` at the first record
-    with a bad shape, a bad basis, a basis seen before or a bad phase, in
-    that order of checks within a record."""
-    keys = set()
+def _walk_records(items: list, n: int, r: int) -> dict:
+    """Basis tuple -> angle (``_phase_angle``) of the value records, checked
+    one record at a time in document order: raises :class:`FormatError` at
+    the first record with a bad shape, a bad basis, a basis seen before or a
+    bad phase, in that order of checks within a record."""
+    walked = {}
     for item in items:
         if not isinstance(item, dict) or set(item) != {"basis", "phase"}:
             raise FormatError(f"bad value record: {item!r}")
@@ -236,11 +235,10 @@ def _walk_records(items: list, n: int, r: int) -> set:
                 or basis[0] < 1 or basis[-1] > n):
             raise FormatError(f"bad basis {basis!r}: need a sorted {r}-subset of [1, {n}]")
         key = tuple(basis)
-        if key in keys:
+        if key in walked:
             raise FormatError(f"basis {basis} appears twice")
-        keys.add(key)
-        _phase_angle(item["phase"])
-    return keys
+        walked[key] = _phase_angle(item["phase"])
+    return walked
 
 
 def forest_to_json(forest: SpanningForest) -> list:

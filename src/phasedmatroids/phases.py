@@ -5,8 +5,8 @@ normalized angle in [0, 2*pi).  Zero lies in the hypersum of a finite phase
 set when some strictly positive combination of the phases vanishes;
 ``zero_in_hypersum_batch`` decides that for many sets at once, and every
 Grassmann-Pluecker verdict goes through it.  The triangular-equation solver
-recovers the one unknown positive norm in gamma = ph(s1*alpha - s2*beta), for
-one equation or an array of them.
+recovers the one unknown positive norm in gamma = ph(s1*alpha - s2*beta) for
+each equation of an array.
 """
 
 from __future__ import annotations
@@ -242,37 +242,26 @@ def zero_in_hypersum_batch(angles: np.ndarray, eps: float) -> np.ndarray:
     return found
 
 
-def triangle_solve(gamma, alpha, beta, s1=None, s2=None,
-                   tol: Tolerance = DEFAULT_TOLERANCE):
-    """The unknown positive norm of the triangular equation
-    gamma = ph(s1*alpha - s2*beta): s1 or s2, whichever is ``None``.
+def triangle_solve(gamma, alpha, beta, s1, s2, tol: Tolerance = DEFAULT_TOLERANCE):
+    """The unknown positive norm of each triangular equation
+    gamma = ph(s1*alpha - s2*beta), for arrays of equations.
 
-    The three phases must be nonzero and the known side a positive finite
-    real, else ``ValueError``.  With t the positive norm such that
+    gamma, alpha and beta are arrays of angles in [0, 2*pi), the three
+    nonzero phases of each equation; s1 and s2 are float arrays with NaN on
+    the unknown side of each equation: s2 is read where s1 is NaN, and s1
+    elsewhere.  The known side must be a positive finite real, else
+    ``ValueError``.  With t the positive norm such that
     s1*alpha - s2*beta = t*gamma, the 2x2 real linear system in (unknown, t)
     is solved by direct elimination; no trigonometric closed form is used.
 
     Raises :class:`DegenerateTriangleError` when alpha = +/-beta (the equation
     violates its own invariant) and :class:`InfeasibleTriangleError` when no
     strictly positive solution exists, including the singular limits
-    gamma = +/-beta (unknown s2) and gamma = +/-alpha (unknown s1).
-
-    Many equations are solved at once when gamma, alpha and beta are arrays
-    of angles in [0, 2*pi), the three nonzero phases of each equation, and
-    s1 and s2 float arrays with NaN on the unknown side of each equation:
-    s2 is read where s1 is NaN, and s1 elsewhere.  Each equation takes the
-    float operations of a lone one, so the solutions are the same bits, and
-    the first equation that fails raises what it would alone, with its
-    index in the error's ``equation``.
+    gamma = +/-beta (unknown s2) and gamma = +/-alpha (unknown s1).  Each
+    equation takes the float operations of a lone one, so its solution does
+    not depend on the others, and the first equation that fails raises what
+    it would alone, with its index in the error's ``equation``.
     """
-    if isinstance(gamma, Phase):
-        if gamma.is_zero or alpha.is_zero or beta.is_zero:
-            raise ValueError("triangular equations need nonzero phases")
-        if (s1 is None) == (s2 is None):
-            raise ValueError("exactly one of s1, s2 must be unknown")
-        one = [np.array([p.angle]) for p in (gamma, alpha, beta)]
-        sides = [np.array([math.nan if s is None else s], dtype=float) for s in (s1, s2)]
-        return triangle_solve(*one, *sides, tol).item()
     a, b, g = alpha, beta, gamma
     unknown1 = np.isnan(s1)  # else s2 is the unknown side
     known = np.where(unknown1, s2, s1)

@@ -241,12 +241,6 @@ def _gp_blocks(rectangles, every_y: np.ndarray):
         yield block, width
 
 
-def _basis_rank(basis: Sequence[int], n: int) -> int:
-    """``_lex_rank`` of one sorted subset, in Python integers."""
-    s = len(basis)
-    return math.comb(n, s) - 1 - sum(math.comb(n - c, s - i) for i, c in enumerate(basis))
-
-
 def _phase(angle: float) -> Phase:
     """The phase of a stored angle: NaN is the zero phase."""
     return ZERO if math.isnan(angle) else Phase(angle)
@@ -281,32 +275,35 @@ class Phirotope:
     every per-value operation reads it; ``values`` lists the same values as
     Phases, built on first use.
 
-    Construction validates the Grassmann-Pluecker relations unless
-    ``validate=False``; deferred validation exists for performance-sensitive
-    paths whose output is valid by construction, and for building deliberately
-    invalid fixtures.
+    The mapping constructor, the library's boundary for outside input,
+    checks every Grassmann-Pluecker relation and raises
+    :class:`InvalidPhirotopeError` on a violation.  Construction from angle
+    arrays (``_from_angles``: JSON parse, ``from_matrix``, ``rephase``,
+    ``scale_global``, ``canonicalize``) checks none; a caller that needs the
+    relations runs ``check_gp`` or ``_require_gp``.
     """
 
     def __init__(self, ground_size: int, rank: int,
                  values: Mapping[tuple, Phase],
-                 tolerance: Tolerance = DEFAULT_TOLERANCE,
-                 validate: bool = True):
+                 tolerance: Tolerance = DEFAULT_TOLERANCE):
         if not (1 <= rank <= ground_size):
             raise ValueError("need 1 <= rank <= ground size")
         ordered = _in_lex_order(ground_size, rank, values)
         angles = np.array([math.nan if p.is_zero else p.angle for p in ordered], dtype=float)
-        self._store(ground_size, rank, angles, tolerance, validate)
+        self._store(ground_size, rank, angles, tolerance)
+        self._require_gp()
 
     @classmethod
     def _from_angles(cls, ground_size: int, rank: int, angles: np.ndarray,
-                     tolerance: Tolerance, validate: bool = False) -> "Phirotope":
+                     tolerance: Tolerance) -> "Phirotope":
         """The phirotope whose ``angles`` is ``angles`` itself, which must be
-        C(n, r) normalized angles or NaN in lex order; it becomes read-only."""
+        C(n, r) normalized angles or NaN in lex order; it becomes read-only.
+        The Grassmann-Pluecker relations are not checked."""
         phi = cls.__new__(cls)
-        phi._store(ground_size, rank, angles, tolerance, validate)
+        phi._store(ground_size, rank, angles, tolerance)
         return phi
 
-    def _store(self, n, r, angles, tolerance, validate):
+    def _store(self, n, r, angles, tolerance):
         self.n = n
         self.r = r
         self.tolerance = tolerance
@@ -314,10 +311,13 @@ class Phirotope:
         self.angles = angles
         if np.isnan(angles).all():
             raise ValueError("a phirotope is not identically zero")
-        if validate:
-            violations = self.check_gp()
-            if violations:
-                raise InvalidPhirotopeError(violations)
+
+    def _require_gp(self):
+        """The one validity gate: raises :class:`InvalidPhirotopeError` with
+        the list of ``check_gp()`` unless it is empty."""
+        violations = self.check_gp()
+        if violations:
+            raise InvalidPhirotopeError(violations)
 
     @functools.cached_property
     def values(self) -> Mapping[tuple, Phase]:
@@ -336,7 +336,7 @@ class Phirotope:
         srt, sign = sort_with_sign(idx)
         if sign == 0:
             return ZERO
-        p = _phase(self.angles.item(_basis_rank(srt, self.n)))
+        p = _phase(self.angles.item(_lex_rank(np.array(srt), self.n)))
         return p if sign > 0 else -p
 
     def check_gp(self, touching: Optional[np.ndarray] = None):
@@ -494,9 +494,10 @@ def from_matrix(m: ComplexMatrix, tolerance: Tolerance = DEFAULT_TOLERANCE) -> P
     """The phirotope of a full-row-rank matrix: basis -> phase of its minor.
 
     The output satisfies the Grassmann-Pluecker relations by construction
-    (minors of an actual matrix satisfy the classical relations), so
-    construction-time validation is skipped.  Above ``MAX_MATRIX_MINORS``
-    minors, raises :class:`PhasedMatroidError` before listing a subset.
+    (minors of an actual matrix satisfy the classical relations), and, like
+    every construction from angles, is not checked.  Above
+    ``MAX_MATRIX_MINORS`` minors, raises :class:`PhasedMatroidError` before
+    listing a subset.
     """
     count = math.comb(m.cols, m.rows)
     if count > MAX_MATRIX_MINORS:

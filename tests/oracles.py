@@ -43,6 +43,15 @@ def isclose(p, q, tol=DEFAULT_TOLERANCE):
     return circular_distance(p.angle, q.angle) < tol.eps
 
 
+def unchecked_phirotope(n, r, values, tolerance=DEFAULT_TOLERANCE):
+    """The phirotope of a basis -> Phase mapping, built as the mapping
+    constructor builds it but without its Grassmann-Pluecker check: for
+    fixtures that break the relations on purpose."""
+    ordered = _in_lex_order(n, r, values)
+    angles = np.array([math.nan if p.is_zero else p.angle for p in ordered], dtype=float)
+    return Phirotope._from_angles(n, r, angles, tolerance)
+
+
 def zero_in_hypersum_bruteforce(phases, residual_threshold=1e-7):
     """Does some strictly positive combination of the given phases vanish?
 
@@ -299,7 +308,7 @@ def gp_pairs_touching(n, r, disagreeing):
 # before both became whole-array passes; kept as the references that the
 # array versions must match bit for bit, error texts included.
 
-def phirotope_from_json_reference(obj, tolerance, validate=True):
+def phirotope_from_json_reference(obj, tolerance):
     """``jsonio.phirotope_from_json`` one record at a time: each record's
     shape, basis, duplicate and phase are checked in document order, then
     the values are listed in lex order by ``phirotopes._in_lex_order``."""
@@ -329,7 +338,7 @@ def phirotope_from_json_reference(obj, tolerance, validate=True):
         values[key] = _phase_angle_reference(item["phase"])
     try:
         angles = _normalize_array(np.array(_in_lex_order(n, r, values), dtype=float))
-        return Phirotope._from_angles(n, r, angles, tolerance, validate)
+        return Phirotope._from_angles(n, r, angles, tolerance)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

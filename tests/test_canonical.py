@@ -42,6 +42,7 @@ from oracles import (
     scaled,
     standard_form,
     two_pass_spanning_forest,
+    unchecked_phirotope,
 )
 
 
@@ -159,7 +160,7 @@ def test_canonical_forest_rank2():
 
 
 def random_zero_pattern_phis(seed, count):
-    """Phirotopes built with ``validate=False``, r = 1..6 and n = r..r+7, whose
+    """Phirotopes built by ``unchecked_phirotope``, r = 1..6 and n = r..r+7, whose
     bases {1..r} - {i} + {j} are zero at a random rate per phirotope; every
     other value, {1..r} among them, is 1.  Their graphs are arbitrary
     bipartite edge sets, connected or not."""
@@ -173,7 +174,7 @@ def random_zero_pattern_phis(seed, count):
         for i, j in itertools.product(first, range(r + 1, n + 1)):
             if rng.random() < rate:
                 values[first[:i - 1] + first[i:] + (j,)] = ZERO
-        yield Phirotope(n, r, values, validate=False)
+        yield unchecked_phirotope(n, r, values)
 
 
 def fixture_phis():
@@ -348,7 +349,7 @@ def test_essential_orientability_rephasing_invariant():
 def _rotated(phi, basis, amount, tolerance):
     values = dict(phi.values)
     values[basis] = Phase.from_angle(values[basis].angle + amount)
-    return Phirotope(phi.n, phi.r, values, tolerance, validate=False)
+    return unchecked_phirotope(phi.n, phi.r, values, tolerance)
 
 
 def test_phase_tests_read_the_phirotope_tolerance():

@@ -5,14 +5,18 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from phasedmatroids import ComplexMatrix, Phase, Phirotope, from_matrix, jsonio
+from phasedmatroids import DEFAULT_TOLERANCE, ComplexMatrix, Phase, Phirotope, from_matrix, jsonio
 from phasedmatroids.cli import run
 
 from conftest import FIXTURES, load_fixture
+from oracles import unchecked_phirotope
+
+GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden_inputs"
 
 
 def invoke(capsys, *args):
@@ -274,7 +278,7 @@ def test_realize_reports_the_violations_validate_lists(tmp_path, capsys, r, n):
             basis = list(values)[i]
             values[basis] = values[basis] * Phase.from_angle(rng.uniform(0.5 * np.pi, 1.5 * np.pi))
         path = tmp_path / f"phi{trial}.json"
-        path.write_text(json.dumps(jsonio.phirotope_to_json(Phirotope(n, r, values, validate=False))))
+        path.write_text(json.dumps(jsonio.phirotope_to_json(unchecked_phirotope(n, r, values))))
         code, validated = invoke(capsys, "validate", "--input", str(path))
         violations = validated["result"]["violations"]
         assert code == 1 and violations
@@ -317,3 +321,48 @@ def test_consecutive_runs_match_fresh_processes(capsys):
             proc.returncode, proc.stdout, proc.stderr.decode()), argv
         codes.append(code)
     assert codes == [0, 0, 0, 0, 0, 2, 0, 0]
+
+
+#: Grassmann-Pluecker sweeps per command, on a valid uniform phirotope and on
+#: a GP-invalid one: the commands that need a phirotope sweep once, realize
+#: only off the Realizable path, and verify and from-matrix never.
+SWEEPS = {"validate": (1, 1), "canonicalize": (1, 1), "orient-check": (1, 1), "tree": (1, 1),
+          "realize": (0, 1), "verify": (0, 0), "from-matrix": (0, 0)}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_each_command_sweeps_where_its_gate_says(monkeypatch, tmp_path, capsys, command):
+    sweeps = []
+    sweep = Phirotope._gp_sweep
+
+    def counted(phi, touching):
+        sweeps.append(touching)
+        return sweep(phi, touching)
+
+    monkeypatch.setattr(Phirotope, "_gp_sweep", counted)
+    invalid = json.loads((GOLDEN_INPUTS / "gp_invalid_phirotope.json").read_text())
+    inputs = {  # the phirotope and the matrix each case reads
+        "valid": (load_fixture("realizable_rank3_phirotope.json"),
+                  load_fixture("realizable_rank3_canonical_matrix.json")),
+        "invalid": (invalid, jsonio.matrix_to_json(ComplexMatrix.from_complex(
+            np.array([[1, 0, 1, 1, 1], [0, 1, 1j, 2, -1]])))),
+    }
+    counts = []
+    for case, (phirotope, matrix) in inputs.items():
+        doc = {"verify": {"phirotope": phirotope, "matrix": matrix},
+               "from-matrix": matrix}.get(command, phirotope)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        sweeps.clear()
+        code = run([command, "--input", str(path)])
+        capsys.readouterr()
+        assert code == (0 if case == "valid" or command == "from-matrix" else 1), case
+        counts.append(len(sweeps))
+    assert tuple(counts) == SWEEPS[command]
+
+
+def test_parsing_sweeps_nothing(monkeypatch):
+    monkeypatch.setattr(Phirotope, "_gp_sweep", mock.Mock(side_effect=AssertionError))
+    for doc in (load_fixture("realizable_rank3_phirotope.json"),
+                json.loads((GOLDEN_INPUTS / "gp_invalid_phirotope.json").read_text())):
+        jsonio.phirotope_from_json(doc, DEFAULT_TOLERANCE)

@@ -37,7 +37,8 @@ FLAGS = {"default": [], "pretty": ["--pretty"], "tol-1e-6": ["--tol", "1e-6"]}
 VERIFY_PAIR = ("realizable_rank3_phirotope.json", "realizable_rank3_canonical_matrix.json")
 #: (file in golden_inputs/, commands, flag id, flags): the exit is 1, 2 or 3
 NEGATIVE_CASES = [
-    ("gp_invalid_phirotope.json", ["validate", "realize", "canonicalize", "tree"], "default", []),
+    ("gp_invalid_phirotope.json", ["validate", "realize", "canonicalize", "orient-check", "tree"],
+     "default", []),
     ("verify_not_realizing_pair.json", ["verify"], "default", []),
     ("first_subset_not_basis_phirotope.json", ["canonicalize", "tree"], "default", []),
     ("zero_matrix.json", ["from-matrix"], "default", []),
@@ -87,7 +88,7 @@ CASES = list(_cases())
 
 
 def test_golden_covers_every_case():
-    assert len(CASES) == 112
+    assert len(CASES) == 113
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(c[0] for c in CASES)
 
 

@@ -16,7 +16,6 @@ from phasedmatroids import (
     InfeasibleTriangleError,
     NotRealizable,
     Phase,
-    Phirotope,
     Unsupported,
     canonicalize,
     decide_realizability,
@@ -39,6 +38,7 @@ from oracles import (
     matrix_to_json_reference,
     max_entry_distance,
     phirotope_from_json_reference,
+    unchecked_phirotope,
 )
 
 
@@ -46,7 +46,7 @@ def _phases_back(*phases):
     """The values of the rank-1 phirotope whose JSON phases are ``phases``."""
     doc = {"n": len(phases), "r": 1,
            "values": [{"basis": [k + 1], "phase": p} for k, p in enumerate(phases)]}
-    return list(phirotope_from_json(doc, DEFAULT_TOLERANCE, validate=False).values.values())
+    return list(phirotope_from_json(doc, DEFAULT_TOLERANCE).values.values())
 
 
 def test_phase_roundtrip():
@@ -164,7 +164,7 @@ def test_verdict_to_json_emits_each_documented_shape(nonreal2ex_phi):
     values = {(1, 2): Phase(0.0), (1, 3): Phase(0.0), (1, 4): Phase(0.0),
               (2, 3): Phase(math.pi), (2, 4): Phase.from_angle_over_pi(1.5),
               (3, 4): Phase.from_angle_over_pi(1.5)}
-    inconsistent = Phirotope(4, 2, values, validate=False)
+    inconsistent = unchecked_phirotope(4, 2, values)
     with pytest.raises(InfeasibleTriangleError) as exc:
         reconstruct(canonicalize(inconsistent))
     doc = verdict_to_json(NotRealizable(infeasible_equation=str(exc.value)))
@@ -185,7 +185,7 @@ def test_verdict_to_json_emits_each_documented_shape(nonreal2ex_phi):
 
 def _parse_outcome(parse, doc):
     try:
-        phi = parse(doc, DEFAULT_TOLERANCE, validate=False)
+        phi = parse(doc, DEFAULT_TOLERANCE)
     except Exception as exc:  # noqa: BLE001 - the class and text are compared
         return type(exc).__name__, str(exc)
     return "ok", phi.n, phi.r, phi.angles.tobytes()

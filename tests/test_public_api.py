@@ -103,3 +103,11 @@ def test_a_phirotope_stores_one_read_only_angle_array():
     with pytest.raises(TypeError):
         phi.values[(1, 2)] = zero
     assert list(phi.values) == [(1, 2), (1, 3), (2, 3)]
+
+
+def test_no_parameter_turns_the_validity_gate_off():
+    """The mapping constructor always checks the Grassmann-Pluecker
+    relations and JSON parse never does; neither takes a switch for it."""
+    assert list(inspect.signature(phasedmatroids.Phirotope).parameters) == [
+        "ground_size", "rank", "values", "tolerance"]
+    assert list(inspect.signature(jsonio.phirotope_from_json).parameters) == ["obj", "tolerance"]

@@ -51,6 +51,7 @@ from oracles import (
     reconstruct_reference,
     standard_form,
     triangle_solve_reference,
+    unchecked_phirotope,
     unit,
 )
 
@@ -131,7 +132,7 @@ def test_decide_invalid_phirotope():
     values = {(1, 2): Phase(0.0), (1, 3): Phase(0.0), (1, 4): Phase(0.0),
               (2, 3): Phase(0.0), (2, 4): Phase(0.0),
               (3, 4): Phase.from_angle_over_pi(0.5)}
-    phi = Phirotope(4, 2, values, validate=False)
+    phi = unchecked_phirotope(4, 2, values)
     verdict = decide_realizability(phi)
     assert isinstance(verdict, Unsupported)
     assert verdict.reason == "not_a_phirotope"
@@ -199,7 +200,7 @@ def test_reconstruct_infeasible_equation():
     values = {(1, 2): Phase(0.0), (1, 3): Phase(0.0), (1, 4): Phase(0.0),
               (2, 3): Phase(math.pi), (2, 4): Phase.from_angle_over_pi(1.5),
               (3, 4): Phase.from_angle_over_pi(1.5)}
-    phi = Phirotope(4, 2, values, validate=False)
+    phi = unchecked_phirotope(4, 2, values)
     with pytest.raises(InfeasibleTriangleError):
         reconstruct(canonicalize(phi))
 
@@ -310,7 +311,7 @@ def _rephasing_cases():
             values = dict(phi.values)
             last = list(phi.values)[-1]
             values[last] = values[last] * Phase(1e-3)
-            phi = Phirotope(n, r, values, validate=False)
+            phi = unchecked_phirotope(n, r, values)
         yield phi, rng
 
 
@@ -390,7 +391,7 @@ def test_pipeline_error_is_raised_only_when_gp_holds(monkeypatch, nonreal2ex_phi
         decide_realizability(nonreal2ex_phi)
     values = dict(nonreal2ex_phi.values)
     values[(3, 4)] = values[(3, 4)] * Phase(2.0)
-    verdict = decide_realizability(Phirotope(5, 2, values, validate=False))
+    verdict = decide_realizability(unchecked_phirotope(5, 2, values))
     assert isinstance(verdict, Unsupported) and verdict.reason == NOT_A_PHIROTOPE
 
 
@@ -414,7 +415,7 @@ def test_check_gp_runs_only_off_the_realizable_path(monkeypatch, runex_phi, nonr
     invalid_values[(1, 2, 3)] = invalid_values[(1, 2, 3)] * Phase(2.0)
     cases = [(realizable, Realizable, 0), (nonreal2ex_phi, NotRealizable, 1),
              (runex_phi, NOT_UNIFORM, 1), (oriented, ESSENTIALLY_ORIENTED, 1),
-             (Phirotope(7, 3, invalid_values, validate=False), NOT_A_PHIROTOPE, 1),
+             (unchecked_phirotope(7, 3, invalid_values), NOT_A_PHIROTOPE, 1),
              (_degenerate_gp_invalid_phirotope(), NOT_A_PHIROTOPE, 1)]
     # only the witness path passes the bases where the matrix disagrees
     touched = {id(nonreal2ex_phi): [[(4, 5)]]}
@@ -468,7 +469,7 @@ def _verdict_changing_cases():
                 rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))).values)
             basis = list(values)[int(rng.integers(len(values)))]
             values[basis] = values[basis] * Phase.from_angle(10 ** rng.uniform(-8, math.log10(2)))
-            yield "rotated", Phirotope(n, r, values, validate=False)
+            yield "rotated", unchecked_phirotope(n, r, values)
 
 
 def test_verdicts_change_only_from_not_a_phirotope_to_verified_realizable():
