@@ -15,11 +15,7 @@ import json
 import sys
 
 from . import __version__, jsonio
-from .canonical import (
-    canonical_spanning_forest,
-    canonicalize,
-    is_essentially_oriented,
-)
+from .canonical import canonical_spanning_forest, canonicalize, is_real_valued
 from .errors import (
     DisconnectedGraphError,
     FirstSubsetNotBasisError,
@@ -28,7 +24,8 @@ from .errors import (
 )
 from .phases import DEFAULT_TOLERANCE, Tolerance
 from .phirotopes import from_matrix
-from .realization import NOT_A_PHIROTOPE, NotRealizable, Unsupported, decide_realizability, verify
+from .realization import (NOT_A_PHIROTOPE, NotRealizable, Unsupported, _decide,
+                          decide_realizability, verify)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -48,11 +45,15 @@ def _violations_json(violations) -> list:
     return [{"X": list(x), "Y": list(y)} for x, y in violations]
 
 
-def _checked_phirotope(doc, tol):
-    """The parsed phirotope, after the full Grassmann-Pluecker sweep."""
+def _decided_phirotope(doc, tol):
+    """The parsed phirotope and the canonicalization ``_decide`` reached, or
+    None, after its Grassmann-Pluecker gate: on a violation, raises
+    :class:`InvalidPhirotopeError` with the full ``check_gp()`` list."""
     phi = jsonio.phirotope_from_json(doc, tol)
-    phi._require_gp()
-    return phi
+    canon, verdict = _decide(phi)
+    if isinstance(verdict, Unsupported) and verdict.reason == NOT_A_PHIROTOPE:
+        phi._require_gp()
+    return phi, canon
 
 
 def _cmd_validate(doc, tol):
@@ -69,14 +70,13 @@ def _cmd_from_matrix(doc, tol):
 
 
 def _cmd_canonicalize(doc, tol):
-    phi = _checked_phirotope(doc, tol)
-    result = canonicalize(phi)
-    return jsonio.canonicalization_to_json(result), EXIT_OK
+    phi, canon = _decided_phirotope(doc, tol)
+    return jsonio.canonicalization_to_json(canon or canonicalize(phi)), EXIT_OK
 
 
 def _cmd_orient_check(doc, tol):
-    phi = _checked_phirotope(doc, tol)
-    return {"essentially_oriented": is_essentially_oriented(phi)}, EXIT_OK
+    phi, canon = _decided_phirotope(doc, tol)
+    return {"essentially_oriented": is_real_valued((canon or canonicalize(phi)).canonical)}, EXIT_OK
 
 
 def _cmd_realize(doc, tol):
@@ -107,8 +107,8 @@ def _cmd_verify(doc, tol):
 
 
 def _cmd_tree(doc, tol):
-    phi = _checked_phirotope(doc, tol)
-    forest = canonical_spanning_forest(phi)
+    phi, canon = _decided_phirotope(doc, tol)
+    forest = canon.forest if canon else canonical_spanning_forest(phi)
     return {"forest": jsonio.forest_to_json(forest),
             "components": forest.component_count}, EXIT_OK
 

@@ -8,7 +8,9 @@ match the ground-set conventions used throughout the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,15 @@ def _is_integer(k) -> bool:
     int that is not a bool (an int to isinstance, and how Python's json reads
     true and false).  Python ints are tested first: JSON parsing tests each."""
     return isinstance(k, int) and not isinstance(k, bool) or isinstance(k, np.integer)
+
+
+@functools.lru_cache(maxsize=8)
+def _bases(n: int, r: int) -> np.ndarray:
+    """The sorted r-subsets of [n], one per row in lex order; read-only."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), r))
+    bases = np.fromiter(flat, dtype=np.intp, count=math.comb(n, r) * r).reshape(-1, r)
+    bases.flags.writeable = False
+    return bases
 
 
 @dataclass(frozen=True)
@@ -111,9 +122,7 @@ def _dets(stacked: np.ndarray) -> np.ndarray:
 def all_maximal_minors(m: ComplexMatrix) -> np.ndarray:
     """Determinants of all sorted r-subsets of columns, in lex order of the
     subsets, batch-computed in stacks of at most ``DET_STACK_ENTRIES`` entries."""
-    r, n = m.rows, m.cols
-    arr = m.to_complex()
-    subsets = np.asarray(list(itertools.combinations(range(n), r)))
-    step = max(1, DET_STACK_ENTRIES // (r * r))  # stacks of shape (step, r, r), one alive at a time
+    arr, subsets = m.to_complex(), _bases(m.cols, m.rows) - 1
+    step = max(1, DET_STACK_ENTRIES // m.rows**2)  # stacks (step, r, r), one alive at a time
     return np.concatenate([_dets(arr[:, subsets[k:k + step]].transpose(1, 0, 2))
                            for k in range(0, len(subsets), step)])

@@ -29,7 +29,7 @@ from .errors import (
     PhasedMatroidError,
     RankDeficientError,
 )
-from .matrices import ComplexMatrix, _is_integer, all_maximal_minors
+from .matrices import ComplexMatrix, _bases, _is_integer, all_maximal_minors
 from .phases import (
     DEFAULT_TOLERANCE,
     TAU,
@@ -117,15 +117,6 @@ class Rephasing:
 
     def __len__(self):
         return len(self.rho)
-
-
-@functools.lru_cache(maxsize=8)
-def _bases(n: int, r: int) -> np.ndarray:
-    """The sorted r-subsets of [n], one per row in lex order; read-only."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), r))
-    bases = np.fromiter(flat, dtype=np.intp, count=math.comb(n, r) * r).reshape(-1, r)
-    bases.flags.writeable = False
-    return bases
 
 
 @functools.lru_cache(maxsize=8)

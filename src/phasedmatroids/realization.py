@@ -188,62 +188,70 @@ def verify(phi: Phirotope, m: ComplexMatrix) -> Optional[Witness]:
                    _phase(expected.item(k)), _phase(computed.item(k)), disagreeing)
 
 
-def _decide_from_reconstruction(phi: Phirotope) -> RealizabilityVerdict:
-    """The verdict of uniformity, canonicalization, reconstruction and
-    verification, without the Grassmann-Pluecker check."""
+def _reconstruction_verdict(phi: Phirotope):
+    """(canon, verdict): the canonicalization reached, None when phi is not
+    uniform or ``canonicalize`` raised, and the verdict before the
+    Grassmann-Pluecker gate; a ``PhasedMatroidError`` raised is the verdict."""
     if not is_uniform(phi):
-        return Unsupported(NOT_UNIFORM)
+        return None, Unsupported(NOT_UNIFORM)
     try:
         canon = canonicalize(phi)
     except DisconnectedGraphError as exc:
-        return Unsupported(DISCONNECTED, detail=str(exc))
+        return None, Unsupported(DISCONNECTED, detail=str(exc))
+    except PhasedMatroidError as exc:
+        return None, exc
     if is_real_valued(canon.canonical):
-        return Unsupported(ESSENTIALLY_ORIENTED)
+        return canon, Unsupported(ESSENTIALLY_ORIENTED)
     try:
         matrix = reconstruct(canon)
     except InfeasibleTriangleError as exc:
-        return NotRealizable(infeasible_equation=str(exc))
+        return canon, NotRealizable(infeasible_equation=str(exc))
     except EssentiallyOrientedError as exc:
-        return Unsupported(ESSENTIALLY_ORIENTED, detail=str(exc))
+        return canon, Unsupported(ESSENTIALLY_ORIENTED, detail=str(exc))
+    except PhasedMatroidError as exc:
+        return canon, exc
     witness = verify(canon.canonical, matrix)
     if witness is not None:
-        return NotRealizable(witness=witness, matrix=matrix)
-    return Realizable(matrix, canon.rho, canon.global_phase)
+        return canon, NotRealizable(witness=witness, matrix=matrix)
+    return canon, Realizable(matrix, canon.rho, canon.global_phase)
 
 
-def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
-    """Full realizability pipeline for a phirotope.
+def _decide(phi: Phirotope):
+    """(canon, verdict): ``_reconstruction_verdict`` after the one
+    Grassmann-Pluecker gate.
 
-    Requires uniformity, canonicalizes, refuses essentially oriented inputs
-    (deciding those is the oriented-matroid problem), reconstructs the
-    canonical realization and verifies it.  Verification is always the last
-    gate before a Realizable verdict, and a verified matrix certifies the
-    Grassmann-Pluecker relations, because the minors of a matrix satisfy them;
-    so the GP sweep (that of ``Phirotope.check_gp``, in blocks of bounded
-    memory) runs only when the pipeline ends in another verdict or raises a
-    ``PhasedMatroidError``.  After a failed verification the matrix still
-    certifies every relation that reads only bases where it agrees with the
-    canonical phirotope, since GP is invariant under rephasing; so that
-    sweep reads only the relations with a term on a basis of the witness's
-    ``disagreeing`` set (all of them when that set is large).  Every other
-    outcome sweeps all pairs.  A GP violation then gives
-    ``Unsupported(NOT_A_PHIROTOPE)``, with the swept count of violations and
-    the first of them, the only one decoded; otherwise the pipeline's verdict
-    stands, or its error is raised again.
+    A Realizable verdict is returned as it is: its verified matrix certifies
+    the relations, because the minors of a matrix satisfy them.  After a
+    failed verification the matrix still certifies every relation that reads
+    only bases where it agrees with the canonical phirotope, since GP is
+    invariant under rephasing; so the sweep (that of ``Phirotope.check_gp``,
+    in blocks of bounded memory) reads only the relations with a term on a
+    basis of the witness's ``disagreeing`` set (all of them when that set is
+    large).  Every other verdict sweeps all pairs.  A violation makes the
+    verdict ``Unsupported(NOT_A_PHIROTOPE)``, with the swept count of
+    violations and the first of them, the only one decoded; otherwise the
+    verdict stands, a ``PhasedMatroidError`` too, which the caller raises.
     """
-    try:
-        verdict = _decide_from_reconstruction(phi)
-    except PhasedMatroidError as exc:
-        verdict = exc
+    canon, verdict = _reconstruction_verdict(phi)
     if isinstance(verdict, Realizable):
-        return verdict
+        return canon, verdict
     touching = None
     if isinstance(verdict, NotRealizable) and verdict.witness is not None:
         touching = verdict.witness.disagreeing
     count, first = phi._first_gp_violation(touching)
     if count:
         x, y = first
-        return Unsupported(NOT_A_PHIROTOPE, detail=f"{count} violations, first at X={x}, Y={y}")
+        verdict = Unsupported(NOT_A_PHIROTOPE, detail=f"{count} violations, first at X={x}, Y={y}")
+    return canon, verdict
+
+
+def decide_realizability(phi: Phirotope) -> RealizabilityVerdict:
+    """Full realizability pipeline for a phirotope: uniformity,
+    canonicalization, refusal of essentially oriented inputs (deciding those
+    is the oriented-matroid problem), reconstruction of the canonical
+    realization, its verification, and the Grassmann-Pluecker gate of
+    ``_decide``.  A pipeline error that the gate leaves standing is raised."""
+    verdict = _decide(phi)[1]
     if isinstance(verdict, PhasedMatroidError):
         raise verdict
     return verdict

@@ -304,6 +304,20 @@ def gp_pairs_touching(n, r, disagreeing):
     return sorted(pairs)
 
 
+def dual(phi):
+    """The dual phirotope, of rank n - r on [n]: phi*(B^c) = (-1)^(sum_i b_i - i)
+    phi(B) for each sorted basis B = (b_1, ..., b_r) and its sorted complement
+    B^c.  This is Anderson-Delucchi's dual without their conjugation; the
+    minors of (-N^T | I) are those of (I | N) on complements with these signs,
+    so realizability, GP validity and essential orientation carry over."""
+    ground = set(range(1, phi.n + 1))
+    values = {}
+    for basis, p in phi.values.items():
+        odd = (sum(basis) - phi.r * (phi.r + 1) // 2) % 2
+        values[tuple(sorted(ground - set(basis)))] = -p if odd else p
+    return unchecked_phirotope(phi.n, phi.n - phi.r, values, phi.tolerance)
+
+
 # The per-record JSON parse and the per-equation reconstruction as they ran
 # before both became whole-array passes; kept as the references that the
 # array versions must match bit for bit, error texts included.

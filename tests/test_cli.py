@@ -11,7 +11,19 @@ import numpy as np
 import pytest
 
 from phasedmatroids import DEFAULT_TOLERANCE, ComplexMatrix, Phase, Phirotope, from_matrix, jsonio
+from phasedmatroids import cli
+from phasedmatroids.canonical import (
+    canonical_spanning_forest,
+    canonicalize,
+    is_essentially_oriented,
+)
 from phasedmatroids.cli import run
+from phasedmatroids.errors import (
+    DisconnectedGraphError,
+    FirstSubsetNotBasisError,
+    InvalidPhirotopeError,
+    PhasedMatroidError,
+)
 
 from conftest import FIXTURES, load_fixture
 from oracles import unchecked_phirotope
@@ -324,9 +336,11 @@ def test_consecutive_runs_match_fresh_processes(capsys):
 
 
 #: Grassmann-Pluecker sweeps per command, on a valid uniform phirotope and on
-#: a GP-invalid one: the commands that need a phirotope sweep once, realize
-#: only off the Realizable path, and verify and from-matrix never.
-SWEEPS = {"validate": (1, 1), "canonicalize": (1, 1), "orient-check": (1, 1), "tree": (1, 1),
+#: a GP-invalid one: validate sweeps once; realize, canonicalize, orient-check
+#: and tree pass realize's gate, which sweeps only off the Realizable path, and
+#: the last three then sweep again for the full list of violations; verify and
+#: from-matrix never sweep.
+SWEEPS = {"validate": (1, 1), "canonicalize": (0, 2), "orient-check": (0, 2), "tree": (0, 2),
           "realize": (0, 1), "verify": (0, 0), "from-matrix": (0, 0)}
 
 
@@ -366,3 +380,94 @@ def test_parsing_sweeps_nothing(monkeypatch):
     for doc in (load_fixture("realizable_rank3_phirotope.json"),
                 json.loads((GOLDEN_INPUTS / "gp_invalid_phirotope.json").read_text())):
         jsonio.phirotope_from_json(doc, DEFAULT_TOLERANCE)
+
+
+def _uniform_inputs(rng, count):
+    """Uniform phirotopes up to (4, 10) from ``rng``, in turn: matrix-born,
+    one value rotated by 1e-3, one value rotated by an obtuse angle, and
+    matrix-born from a real matrix (essentially oriented)."""
+    inputs = []
+    for k in range(count):
+        r = int(rng.integers(1, 5))
+        n = int(rng.integers(r, 11))
+        entries = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)) * (k % 4 != 3)
+        phi = from_matrix(ComplexMatrix.from_complex(entries))
+        rotation = (None, 1e-3, rng.uniform(0.6, 1.4) * np.pi, None)[k % 4]
+        if rotation is not None:
+            angles = phi.angles.copy()
+            i = int(rng.integers(len(angles)))
+            angles[i] = (angles[i] + rotation) % (2 * np.pi)
+            phi = Phirotope._from_angles(n, r, angles, DEFAULT_TOLERANCE)
+        inputs.append(phi)
+    return inputs
+
+
+def _full_sweep_first(command, raw):
+    """The exit code and stdout of ``command`` (canonicalize, tree or
+    orient-check) on the input bytes ``raw`` under the rule the three
+    commands followed before they passed realize's gate: the full
+    ``check_gp()`` list, then the stage."""
+    phi = jsonio.phirotope_from_json(json.loads(raw), DEFAULT_TOLERANCE)
+    violations = phi.check_gp()
+    try:
+        if violations:
+            raise InvalidPhirotopeError(violations)
+        if command == "canonicalize":
+            result = jsonio.canonicalization_to_json(canonicalize(phi))
+        elif command == "tree":
+            forest = canonical_spanning_forest(phi)
+            result = {"forest": jsonio.forest_to_json(forest),
+                      "components": forest.component_count}
+        else:
+            result = {"essentially_oriented": is_essentially_oriented(phi)}
+        report, code = {"command": command, "provenance": cli._provenance(raw, DEFAULT_TOLERANCE),
+                        "result": result}, 0
+    except InvalidPhirotopeError as exc:
+        report, code = {"error": str(exc), "violations": cli._violations_json(violations)}, 1
+    except (DisconnectedGraphError, FirstSubsetNotBasisError) as exc:
+        report, code = {"error": str(exc)}, 3
+    except PhasedMatroidError as exc:
+        report, code = {"error": str(exc)}, 2
+    return code, jsonio.dumps(report, pretty=False)
+
+
+def test_canonicalize_tree_and_orient_check_match_a_full_sweep_first(tmp_path, capsys):
+    """At the default tolerance, realize's gate, which sweeps no pair on a
+    Realizable input and only the pairs through the disagreeing bases after
+    a failed verification, gives the three commands the exit codes and the
+    stdout bytes of a full sweep before the stage."""
+    path = tmp_path / "phi.json"
+    codes = set()
+    for phi in _uniform_inputs(np.random.default_rng(71), 60):
+        path.write_text(json.dumps(jsonio.phirotope_to_json(phi)))
+        raw = path.read_bytes()
+        for command in ("canonicalize", "tree", "orient-check"):
+            code = run([command, "--input", str(path)])
+            expected = _full_sweep_first(command, raw)
+            assert (code, capsys.readouterr().out) == expected, (command, phi)
+            codes.add(code)
+    assert codes == {0, 1, 3}
+
+
+def test_at_a_coarse_tol_the_three_commands_agree_with_realize(tmp_path, capsys):
+    """At --tol 1e-3 the full sweep rejects 16 of these 100 matrix-born
+    phirotopes, and validate reports them; realize certifies every one with
+    its verified matrix, and canonicalize, tree and orient-check, which pass
+    the same gate, exit 0."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "phi.json"
+    rejected = 0
+    for _ in range(100):
+        r = int(rng.integers(2, 5))
+        n = int(rng.integers(r + 2, 10))
+        phi = from_matrix(ComplexMatrix.from_complex(
+            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))))
+        path.write_text(json.dumps(jsonio.phirotope_to_json(phi)))
+        code, report = invoke(capsys, "realize", "--input", str(path), "--tol", "1e-3")
+        assert (code, report["result"]["verdict"]) == (0, "Realizable")
+        for command in ("canonicalize", "tree", "orient-check"):
+            assert invoke(capsys, command, "--input", str(path), "--tol", "1e-3")[0] == 0
+        code, report = invoke(capsys, "validate", "--input", str(path), "--tol", "1e-3")
+        assert code == (0 if report["result"]["valid"] else 1)
+        rejected += code == 1 and bool(report["result"]["violations"])
+    assert rejected > 0

@@ -50,8 +50,9 @@ HIGH_RANK_CASES = [
     (f"rank{r}_n{n}_{kind}.json", commands, "default", [])
     for r, n in ((4, 8), (5, 9))
     for kind, commands in (("matrix", ["from-matrix"]),
-                           ("phirotope", ["realize", "canonicalize"]),
-                           ("rotated_phirotope", ["realize", "canonicalize"]))
+                           ("phirotope", ["realize", "canonicalize", "tree", "orient-check"]),
+                           ("rotated_phirotope", ["realize", "canonicalize", "tree",
+                                                  "orient-check"]))
 ] + [("rank4_n8_rotated_verify_pair.json", ["verify"], "default", [])]
 
 
@@ -88,7 +89,7 @@ CASES = list(_cases())
 
 
 def test_golden_covers_every_case():
-    assert len(CASES) == 113
+    assert len(CASES) == 121
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(c[0] for c in CASES)
 
 

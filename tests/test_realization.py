@@ -635,10 +635,7 @@ def test_not_a_phirotope_detail_counts_every_violation_and_names_the_first():
             violations = phi.check_gp(mask)
             assert phi._first_gp_violation(mask) == (
                 len(violations), violations[0] if violations else None)
-        try:
-            pipeline = realization._decide_from_reconstruction(phi)
-        except PhasedMatroidError:
-            pipeline = None
+        pipeline = realization._reconstruction_verdict(phi)[1]
         verdict = decide_realizability(phi)
         if not (isinstance(verdict, Unsupported) and verdict.reason == NOT_A_PHIROTOPE):
             continue
