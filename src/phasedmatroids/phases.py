@@ -5,8 +5,8 @@ normalized angle in [0, 2*pi).  Zero lies in the hypersum of a finite phase
 set when some strictly positive combination of the phases vanishes;
 ``zero_in_hypersum_batch`` decides that for many sets at once, and every
 Grassmann-Pluecker verdict goes through it.  The triangular-equation solver
-recovers the one unknown positive norm in gamma = ph(s1*alpha - s2*beta) for
-each equation of an array.
+recovers the one unknown positive norm in gamma = ph(s1*alpha - s2*beta), one
+equation at a time, in Python floats.
 """
 
 from __future__ import annotations
@@ -242,68 +242,51 @@ def zero_in_hypersum_batch(angles: np.ndarray, eps: float) -> np.ndarray:
     return found
 
 
-def triangle_solve(gamma, alpha, beta, s1, s2, tol: Tolerance = DEFAULT_TOLERANCE):
-    """The unknown positive norm of each triangular equation
-    gamma = ph(s1*alpha - s2*beta), for arrays of equations.
+def triangle_solve(gamma: float, alpha: float, beta: float, s1: Optional[float],
+                   s2: Optional[float], tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+    """The unknown positive norm of the triangular equation
+    gamma = ph(s1*alpha - s2*beta).
 
-    gamma, alpha and beta are arrays of angles in [0, 2*pi), the three
-    nonzero phases of each equation; s1 and s2 are float arrays with NaN on
-    the unknown side of each equation: s2 is read where s1 is NaN, and s1
-    elsewhere.  The known side must be a positive finite real, else
-    ``ValueError``.  With t the positive norm such that
-    s1*alpha - s2*beta = t*gamma, the 2x2 real linear system in (unknown, t)
-    is solved by direct elimination; no trigonometric closed form is used.
+    gamma, alpha and beta are angles in [0, 2*pi), the three nonzero phases
+    of the equation; exactly one of s1 and s2 is None, the unknown side, and
+    the other must be a positive finite real, else ``ValueError``.  With t
+    the positive norm such that s1*alpha - s2*beta = t*gamma, the 2x2 real
+    linear system in (unknown, t) is solved by direct elimination; no
+    trigonometric closed form is used.
 
     Raises :class:`DegenerateTriangleError` when alpha = +/-beta (the equation
     violates its own invariant) and :class:`InfeasibleTriangleError` when no
     strictly positive solution exists, including the singular limits
-    gamma = +/-beta (unknown s2) and gamma = +/-alpha (unknown s1).  Each
-    equation takes the float operations of a lone one, so its solution does
-    not depend on the others, and the first equation that fails raises what
-    it would alone, with its index in the error's ``equation``.
+    gamma = +/-beta (unknown s2) and gamma = +/-alpha (unknown s1).
     """
-    a, b, g = alpha, beta, gamma
-    unknown1 = np.isnan(s1)  # else s2 is the unknown side
-    known = np.where(unknown1, s2, s1)
-    eps = tol.eps
-    bad = [~((0.0 < known) & (known < math.inf)),  # NaN fails both comparisons
-           np.logical_or.reduce(_circular_distance_array(np.array([a, _opposite(a)]), b) < eps)]
-    abg = np.array([a, b, g])
-    units = np.array([np.cos(abg), np.sin(abg)]).transpose(1, 0, 2)  # ua, ub, ug as (x, y)
-    # unknown s2: s1*ua = s2*ub + t*ug, columns c1 = ub, c2 = ug, rhs r = ua;
-    # unknown s1: s2*ub = s1*ua - t*ug, columns c1 = ua, c2 = -ug, rhs r = ub
-    c1, r = np.where(unknown1, units[:2], units[1::-1])
-    sign = np.where(unknown1, -1.0, 1.0)  # multiplying by it is exact
-    c2 = sign * units[2]
-    with np.errstate(all="ignore"):  # equations failing an earlier check
-        kr = known * r
-        x = np.array([c1, kr])  # det and the numerator of s: x cross c2 for x = c1, kr
-        det, s = x[:, 0] * c2[1] - x[:, 1] * c2[0]
-        st = np.array([s, c1[0] * kr[1] - c1[1] * kr[0]]) / det
-        s = st[0]
-        # the residual: cmath.phase of s1*ua - s2*ub against gamma, which is
-        # kr - s*c1, negated when s1 is unknown.  Python's float * complex adds
-        # 0.0 times the other part too, which can change only the sign of a
-        # zero and so not the residual.
-        check = sign * (kr - s * c1)
-    check = np.ascontiguousarray(check.T).view(complex)[:, 0]
-    phases = np.fromiter(map(cmath.phase, check.tolist()), dtype=float, count=len(s))
-    resid = _circular_distance_array(_normalize_array(phases), g)
-    bad = np.array(bad + [np.abs(det) < eps, np.logical_or.reduce(st <= 0.0),
-                          resid > max(10 * eps, TRIANGLE_RESIDUAL_FLOOR)])
-    if not bad.any():
-        return s
-    k = int(np.argmax(bad.any(axis=0)))
-    errors = [  # in the order a lone equation checks them
-        lambda: ValueError("the known side must be positive and finite"),
-        lambda: DegenerateTriangleError("alpha = +/-beta"),
-        lambda: InfeasibleTriangleError(
-            "gamma is (anti)parallel to the known side: no positive solution"),
-        lambda: InfeasibleTriangleError(
-            f"solved norms not positive: s={st.item(0, k):.6g}, t={st.item(1, k):.6g}"),
-        lambda: InfeasibleTriangleError(
-            f"solution fails phase check (residual {resid.item(k):.3g})"),
-    ]
-    error = next(make() for fails, make in zip(bad, errors) if fails[k])
-    error.equation = k
-    raise error
+    if (s1 is None) == (s2 is None):
+        raise ValueError("exactly one of s1, s2 must be unknown")
+    known = s2 if s1 is None else s1
+    if not 0.0 < known < math.inf:  # NaN fails both comparisons
+        raise ValueError("the known side must be positive and finite")
+    if circular_distance(alpha, beta) < tol.eps or circular_distance(alpha + math.pi, beta) < tol.eps:
+        raise DegenerateTriangleError("alpha = +/-beta")
+    ua = (math.cos(alpha), math.sin(alpha))
+    ub = (math.cos(beta), math.sin(beta))
+    ug = (math.cos(gamma), math.sin(gamma))
+    # unknown s2: s1*ua = s2*ub + t*ug, columns c1 = ub, c2 = ug, rhs ua;
+    # unknown s1: s2*ub = s1*ua - t*ug, columns c1 = ua, c2 = -ug, rhs ub
+    if s2 is None:
+        c1, c2, rhs = ub, ug, ua
+    else:
+        c1, c2, rhs = ua, (-ug[0], -ug[1]), ub
+    det = c1[0] * c2[1] - c1[1] * c2[0]
+    if abs(det) < tol.eps:
+        raise InfeasibleTriangleError(
+            "gamma is (anti)parallel to the known side: no positive solution")
+    rx, ry = known * rhs[0], known * rhs[1]
+    s = (rx * c2[1] - ry * c2[0]) / det
+    t = (c1[0] * ry - c1[1] * rx) / det
+    if s <= 0.0 or t <= 0.0:
+        raise InfeasibleTriangleError(f"solved norms not positive: s={s:.6g}, t={t:.6g}")
+    s1, s2 = (s, s2) if s1 is None else (s1, s)
+    check = s1 * complex(*ua) - s2 * complex(*ub)
+    resid = circular_distance(cmath.phase(check), gamma)
+    if resid > max(10 * tol.eps, TRIANGLE_RESIDUAL_FLOOR):
+        raise InfeasibleTriangleError(f"solution fails phase check (residual {resid:.3g})")
+    return s

@@ -92,8 +92,9 @@ RealizabilityVerdict = Union[Realizable, NotRealizable, Unsupported]
 def _solve_pass(phi, entries, norms, i, j, m, k):
     """Solve for the norm at each 1-based (i, j) of one pass from the 2x2
     minor on rows {i, m} and columns {j, k}, whose other three norms are
-    known, in one ``triangle_solve`` call; the solutions are written into
-    ``norms``.  ``entries`` holds the entry angles of ``_entry_angles``."""
+    known, one ``triangle_solve`` per equation in row-major order; the
+    solutions are written into ``norms``.  ``entries`` holds the entry
+    angles of ``_entry_angles``."""
     a, b = np.minimum(i, m), np.maximum(i, m)
     c, d = np.minimum(j, k), np.maximum(j, k)
     rows, cols = np.array([a, a, b, b]) - 1, np.array([c, d, d, c]) - 1
@@ -102,16 +103,18 @@ def _solve_pass(phi, entries, norms, i, j, m, k):
     phase1, phase2 = _normalize_array(entries[rows[:2], cols[:2] - phi.r]
                                       + entries[rows[2:], cols[2:] - phi.r])
     unknown1 = (i == a) == (j == c)  # (i, j) is (a, c) or (b, d): s1 is unknown
-    s1 = np.where(unknown1, math.nan, ac * bd)
-    s2 = np.where(unknown1, ad * bc, math.nan)
-    try:
-        solved = triangle_solve(_minor_angles(phi, a, b, c, d), phase1, phase2, s1, s2,
-                                phi.tolerance)
-    except InfeasibleTriangleError as exc:
-        e = exc.equation
-        raise InfeasibleTriangleError(
-            f"minor rows {{{a[e]},{b[e]}}} cols {{{c[e]},{d[e]}}}: {exc}") from exc
-    norms[i - 1, j - 1] = solved / norms[m - 1, k - 1]  # over the opposite corner
+    known = np.where(unknown1, ad * bc, ac * bd)
+    solved = []
+    for e, (gamma, alpha, beta, side, u1) in enumerate(zip(
+            _minor_angles(phi, a, b, c, d).tolist(), phase1.tolist(), phase2.tolist(),
+            known.tolist(), unknown1.tolist())):
+        sides = (None, side) if u1 else (side, None)
+        try:
+            solved.append(triangle_solve(gamma, alpha, beta, *sides, phi.tolerance))
+        except InfeasibleTriangleError as exc:
+            raise InfeasibleTriangleError(
+                f"minor rows {{{a[e]},{b[e]}}} cols {{{c[e]},{d[e]}}}: {exc}") from exc
+    norms[i - 1, j - 1] = np.array(solved) / norms[m - 1, k - 1]  # over the opposite corner
 
 
 def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
@@ -120,8 +123,9 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
     Entry phases come straight from the phirotope; tree norms are 1; the rest
     are solved in four passes of triangular equations, each against an
     anchor built from non-real entries.  The equations of a pass read only
-    norms of earlier passes, so each pass is one array solve, in row-major
-    order.  Phases are judged within ``canon.canonical.tolerance``.  Raises
+    norms of earlier passes, so each pass gathers its inputs at once and
+    solves its equations one at a time, in row-major order.  Phases are
+    judged within ``canon.canonical.tolerance``.  Raises
     :class:`NotCanonicalError` unless it is uniform and pinned on
     ``canon.forest``, :class:`EssentiallyOrientedError` if some entry needs
     pass 4 and no non-real entry exists, and :class:`InfeasibleTriangleError`
@@ -188,56 +192,49 @@ def verify(phi: Phirotope, m: ComplexMatrix) -> Optional[Witness]:
                    _phase(expected.item(k)), _phase(computed.item(k)), disagreeing)
 
 
-def _reconstruction_verdict(phi: Phirotope):
-    """(canon, verdict): the canonicalization reached, None when phi is not
-    uniform or ``canonicalize`` raised, and the verdict before the
-    Grassmann-Pluecker gate; a ``PhasedMatroidError`` raised is the verdict."""
-    if not is_uniform(phi):
-        return None, Unsupported(NOT_UNIFORM)
-    try:
-        canon = canonicalize(phi)
-    except DisconnectedGraphError as exc:
-        return None, Unsupported(DISCONNECTED, detail=str(exc))
-    except PhasedMatroidError as exc:
-        return None, exc
-    if is_real_valued(canon.canonical):
-        return canon, Unsupported(ESSENTIALLY_ORIENTED)
-    try:
-        matrix = reconstruct(canon)
-    except InfeasibleTriangleError as exc:
-        return canon, NotRealizable(infeasible_equation=str(exc))
-    except EssentiallyOrientedError as exc:
-        return canon, Unsupported(ESSENTIALLY_ORIENTED, detail=str(exc))
-    except PhasedMatroidError as exc:
-        return canon, exc
-    witness = verify(canon.canonical, matrix)
-    if witness is not None:
-        return canon, NotRealizable(witness=witness, matrix=matrix)
-    return canon, Realizable(matrix, canon.rho, canon.global_phase)
-
-
 def _decide(phi: Phirotope):
-    """(canon, verdict): ``_reconstruction_verdict`` after the one
+    """(canon, verdict): the realizability pipeline and its one
     Grassmann-Pluecker gate.
 
-    A Realizable verdict is returned as it is: its verified matrix certifies
-    the relations, because the minors of a matrix satisfy them.  After a
-    failed verification the matrix still certifies every relation that reads
-    only bases where it agrees with the canonical phirotope, since GP is
-    invariant under rephasing; so the sweep (that of ``Phirotope.check_gp``,
-    in blocks of bounded memory) reads only the relations with a term on a
-    basis of the witness's ``disagreeing`` set (all of them when that set is
-    large).  Every other verdict sweeps all pairs.  A violation makes the
-    verdict ``Unsupported(NOT_A_PHIROTOPE)``, with the swept count of
-    violations and the first of them, the only one decoded; otherwise the
-    verdict stands, a ``PhasedMatroidError`` too, which the caller raises.
+    The pipeline checks uniformity, canonicalizes, refuses essentially
+    oriented inputs, reconstructs and verifies; canon is None when phi is
+    not uniform or ``canonicalize`` raised, and a ``PhasedMatroidError``
+    raised is the verdict.  A Realizable verdict is returned as it is: its
+    verified matrix certifies the relations, because the minors of a matrix
+    satisfy them.  After a failed verification the matrix still certifies
+    every relation that reads only bases where it agrees with the canonical
+    phirotope, since GP is invariant under rephasing; so the sweep (that of
+    ``Phirotope.check_gp``, in blocks of bounded memory) reads only the
+    relations with a term on a basis of the witness's ``disagreeing`` set
+    (all of them when that set is large).  Every other verdict sweeps all
+    pairs.  A violation makes the verdict ``Unsupported(NOT_A_PHIROTOPE)``,
+    with the swept count of violations and the first of them, the only one
+    decoded; otherwise the verdict stands, a ``PhasedMatroidError`` too,
+    which the caller raises.
     """
-    canon, verdict = _reconstruction_verdict(phi)
-    if isinstance(verdict, Realizable):
-        return canon, verdict
-    touching = None
-    if isinstance(verdict, NotRealizable) and verdict.witness is not None:
-        touching = verdict.witness.disagreeing
+    canon = touching = None
+    try:
+        if not is_uniform(phi):
+            verdict = Unsupported(NOT_UNIFORM)
+        else:
+            canon = canonicalize(phi)
+            if is_real_valued(canon.canonical):
+                verdict = Unsupported(ESSENTIALLY_ORIENTED)
+            else:
+                matrix = reconstruct(canon)
+                witness = verify(canon.canonical, matrix)
+                if witness is None:
+                    return canon, Realizable(matrix, canon.rho, canon.global_phase)
+                touching = witness.disagreeing
+                verdict = NotRealizable(witness=witness, matrix=matrix)
+    except DisconnectedGraphError as exc:
+        verdict = Unsupported(DISCONNECTED, detail=str(exc))
+    except InfeasibleTriangleError as exc:
+        verdict = NotRealizable(infeasible_equation=str(exc))
+    except EssentiallyOrientedError as exc:
+        verdict = Unsupported(ESSENTIALLY_ORIENTED, detail=str(exc))
+    except PhasedMatroidError as exc:
+        verdict = exc
     count, first = phi._first_gp_violation(touching)
     if count:
         x, y = first

@@ -318,9 +318,10 @@ def dual(phi):
     return unchecked_phirotope(phi.n, phi.n - phi.r, values, phi.tolerance)
 
 
-# The per-record JSON parse and the per-equation reconstruction as they ran
-# before both became whole-array passes; kept as the references that the
-# array versions must match bit for bit, error texts included.
+# The per-record JSON parse and the per-entry reconstruction as they ran
+# before the parse and the reconstruction's gathers became whole-array
+# passes; kept as the references that the program must match bit for bit,
+# error texts included.
 
 def phirotope_from_json_reference(obj, tolerance):
     """``jsonio.phirotope_from_json`` one record at a time: each record's
@@ -373,7 +374,7 @@ def _phase_angle_reference(obj):
 
 
 def triangle_solve_reference(gamma, alpha, beta, s1=None, s2=None, tol=DEFAULT_TOLERANCE):
-    """``phases.triangle_solve`` for one equation in Python floats: the
+    """``phases.triangle_solve`` on ``Phase`` arguments, checked nonzero: the
     unknown positive norm of gamma = ph(s1*alpha - s2*beta)."""
     if gamma.is_zero or alpha.is_zero or beta.is_zero:
         raise ValueError("triangular equations need nonzero phases")

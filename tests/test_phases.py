@@ -3,7 +3,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,11 +109,10 @@ def test_hypersum_order_and_multiplicity_insensitive(raw, rnd):
     assert zero_in_hypersum(doubled) == base
 
 
-def solve_one(gamma, alpha, beta, s1=math.nan, s2=math.nan, tol=DEFAULT_TOLERANCE):
-    """``triangle_solve`` on one equation as arrays of one: s1 and s2 are
-    NaN on the unknown side, and the phases nonzero."""
-    phases = [np.array([p.angle]) for p in (gamma, alpha, beta)]
-    return triangle_solve(*phases, np.array([s1]), np.array([s2]), tol).item()
+def solve_one(gamma, alpha, beta, s1=None, s2=None, tol=DEFAULT_TOLERANCE):
+    """``triangle_solve`` on the angles of three nonzero phases: s1 and s2
+    are None on the unknown side."""
+    return triangle_solve(gamma.angle, alpha.angle, beta.angle, s1, s2, tol)
 
 
 def test_triangle_nonreal2ex_entry_norms():
@@ -143,7 +141,7 @@ def test_triangle_solution_failing_the_phase_check_is_infeasible():
     # the solved s1*alpha - s2*beta misses gamma by far more than 10 eps
     with pytest.raises(InfeasibleTriangleError, match=r"fails phase check \(residual 6\.83e-06\)"):
         solve_one(Phase.from_angle(1.3 * math.pi), Phase.from_angle(0.1 * math.pi),
-                  Phase.from_angle(0.1 * math.pi + 2e-12), math.nan, 1.0, Tolerance(1e-12))
+                  Phase.from_angle(0.1 * math.pi + 2e-12), None, 1.0, Tolerance(1e-12))
 
 
 def test_triangle_degenerate_directions():

@@ -45,6 +45,7 @@ from phasedmatroids.realization import ESSENTIALLY_ORIENTED, NOT_A_PHIROTOPE, NO
 
 from conftest import FIXTURES
 from oracles import (
+    dual,
     isclose,
     max_entry_distance,
     rank2_realizable,
@@ -554,10 +555,25 @@ def test_reconstruct_matches_the_per_equation_reference(nonreal2ex_phi):
     assert passes == {1, 2, 3, 4}
 
 
-def test_triangle_solve_on_arrays_raises_for_the_first_failing_equation():
-    """Each equation of an array call gives the bits of the one-equation
-    reference, and the first equation that fails raises what the reference
-    raises on it, with its index."""
+def test_reconstruct_matches_the_per_equation_reference_at_large_sizes():
+    """Beyond the 462 bases of ``_reconstruction_inputs``: a matrix-born
+    phirotope and the same with one value rotated by 1e-3 and by 0.3, at
+    sizes no workload reaches, rebuild to the reference's bits."""
+    rng = np.random.default_rng(58)
+    for r, n in ((6, 16), (8, 16), (4, 30), (3, 40)):
+        phi = from_matrix(ComplexMatrix.from_complex(
+            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))))
+        k = int(rng.integers(len(phi.angles)))
+        for amount in (0.0, 1e-3, 0.3):
+            angles = phi.angles.copy()
+            angles[k] = (angles[k] + amount) % (2 * math.pi)
+            canon = canonicalize(Phirotope._from_angles(n, r, angles, DEFAULT_TOLERANCE))
+            assert _rebuilt(reconstruct, canon) == _rebuilt(reconstruct_reference, canon)
+
+
+def test_triangle_solve_matches_the_one_equation_reference():
+    """On each seeded equation ``triangle_solve`` gives the reference's bits,
+    or raises the reference's class and text."""
     rng = np.random.default_rng(57)
     angles = rng.uniform(0.0, 2 * math.pi, size=(3, 400))
     angles[:, :40] = np.round(angles[:, :40] / (math.pi / 2)) * (math.pi / 2) % (2 * math.pi)
@@ -566,28 +582,23 @@ def test_triangle_solve_on_arrays_raises_for_the_first_failing_equation():
     known = rng.uniform(0.1, 10.0, size=400)
     unknown1 = rng.random(400) < 0.5
     unknown1[40] = False
-    s1, s2 = np.where(unknown1, math.nan, known), np.where(unknown1, known, math.nan)
     tol = Tolerance(1e-12)
-    lone = []
+    failing = {}
     for k in range(400):
-        gamma, alpha, beta = (Phase(a) for a in angles[:, k].tolist())
-        sides = (None, known[k]) if unknown1[k] else (known[k], None)
+        gamma, alpha, beta = angles[:, k].tolist()
+        sides = (None, known.item(k)) if unknown1[k] else (known.item(k), None)
         try:
-            lone.append(triangle_solve_reference(gamma, alpha, beta, *sides, tol))
+            lone = triangle_solve_reference(Phase(gamma), Phase(alpha), Phase(beta), *sides, tol)
         except PhasedMatroidError as exc:
-            lone.append(exc)
-    failing = [k for k, x in enumerate(lone) if isinstance(x, Exception)]
-    solved = [k for k, x in enumerate(lone) if not isinstance(x, Exception)]
-    assert {type(lone[k]).__name__ for k in failing} == {
+            failing[k] = exc
+            with pytest.raises(type(exc)) as got:
+                triangle_solve(gamma, alpha, beta, *sides, tol)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            assert triangle_solve(gamma, alpha, beta, *sides, tol) == lone
+    assert {type(exc).__name__ for exc in failing.values()} == {
         "DegenerateTriangleError", "InfeasibleTriangleError"}
-    assert "fails phase check" in str(lone[40])
-    got = triangle_solve(*angles[:, solved], s1[solved], s2[solved], tol)
-    assert got.tolist() == [lone[k] for k in solved]
-    for k in failing:
-        order = solved[:3] + [k] + failing[-3:]
-        with pytest.raises(type(lone[k])) as exc:
-            triangle_solve(*angles[:, order], s1[order], s2[order], tol)
-        assert str(exc.value) == str(lone[k]) and exc.value.equation == 3
+    assert "fails phase check" in str(failing[40])
 
 
 @given(st.integers(3, 8), st.integers(0, 2**32 - 1),
@@ -617,6 +628,29 @@ def test_rank2_verdicts_match_the_exact_oracle(n, seed, rotation):
         assert verdict.reason == ESSENTIALLY_ORIENTED and n == 3
 
 
+def test_corank2_verdicts_match_the_exact_oracle_on_the_dual():
+    """Matrix-born (n - 2, n) inputs, and the same with one value rotated by
+    1e-2 or 0.3: the verdict is Realizable exactly when the rank-2 oracle
+    realizes the dual.  Smaller rotations wait for ROADMAP item 13."""
+    rng = np.random.default_rng(9)
+    seen = set()
+    for draw in range(400):
+        n = int(rng.integers(4, 9))
+        r = n - 2
+        phi = from_matrix(ComplexMatrix.from_complex(
+            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))))
+        rotation = (None, 1e-2, 0.3)[draw % 3]
+        if rotation is not None:
+            angles = phi.angles.copy()
+            k = int(rng.integers(len(angles)))
+            angles[k] = (angles[k] + rotation) % (2 * math.pi)
+            phi = Phirotope._from_angles(n, r, angles, DEFAULT_TOLERANCE)
+        verdict = decide_realizability(phi)
+        assert isinstance(verdict, Realizable) == (rank2_realizable(dual(phi)) is True), draw
+        seen.add(getattr(verdict, "reason", type(verdict).__name__))
+    assert seen == {"Realizable", "NotRealizable", NOT_A_PHIROTOPE}
+
+
 def test_not_a_phirotope_detail_counts_every_violation_and_names_the_first():
     """The detail is the count and first pair of check_gp over the sweep the
     decision ran: all pairs, or those through the witness's disagreeing
@@ -635,13 +669,17 @@ def test_not_a_phirotope_detail_counts_every_violation_and_names_the_first():
             violations = phi.check_gp(mask)
             assert phi._first_gp_violation(mask) == (
                 len(violations), violations[0] if violations else None)
-        pipeline = realization._reconstruction_verdict(phi)[1]
         verdict = decide_realizability(phi)
         if not (isinstance(verdict, Unsupported) and verdict.reason == NOT_A_PHIROTOPE):
             continue
         mask = None
-        if isinstance(pipeline, NotRealizable) and pipeline.witness is not None:
-            mask = pipeline.witness.disagreeing
+        try:
+            canon = canonicalize(phi)
+            witness = verify(canon.canonical, reconstruct(canon))
+        except PhasedMatroidError:
+            witness = None
+        if witness is not None:
+            mask = witness.disagreeing
         violations = phi.check_gp(mask)
         x, y = violations[0]
         assert verdict.detail == f"{len(violations)} violations, first at X={x}, Y={y}"
