@@ -60,57 +60,48 @@ def minor_phase(phi: Phirotope, row_subset, col_subset) -> Phase:
     return phi.evaluate(indices)
 
 
-@functools.lru_cache(maxsize=8)
-def _exchange_ranks(r: int, n: int) -> np.ndarray:
-    """The lex rank of the r-subset {1..r} - {i} + {j} at [i - 1, j - r - 1],
-    for every i <= r < j; read-only."""
-    first = tuple(range(1, r + 1))
-    bases = [first[:i - 1] + first[i:] + (j,) for i in first for j in range(r + 1, n + 1)]
-    ranks = _lex_rank(np.array(bases, dtype=np.intp).reshape(-1, r), n).reshape(r, n - r)
-    ranks.flags.writeable = False
-    return ranks
-
-
-@functools.lru_cache(maxsize=8)
-def _minor_ranks(r: int, n: int) -> np.ndarray:
-    """The lex rank of the r-subset {1..r} - {a, b} + {c, d} at
-    [a - 1, b - 1, c - r - 1, d - r - 1], for every a < b <= r < c < d
-    (0 elsewhere); read-only."""
+@functools.lru_cache(maxsize=16)
+def _minor_ranks(r: int, n: int, k: int) -> np.ndarray:
+    """The lex rank of the r-subset {1..r} - H + J at
+    [h_1 - 1, ..., h_k - 1, j_1 - r - 1, ..., j_k - r - 1], for every
+    h_1 < ... < h_k <= r < j_1 < ... < j_k (0 elsewhere), k = 1 or 2;
+    read-only.  The cache holds both k for up to 8 sizes (r, n)."""
     first = np.arange(1, r + 1)
-    rows = np.array(list(itertools.combinations(first.tolist(), 2)), dtype=np.intp).reshape(-1, 2)
-    cols = np.array(list(itertools.combinations(range(r + 1, n + 1), 2)),
-                    dtype=np.intp).reshape(-1, 2)
-    kept = (first != rows[:, :1]) & (first != rows[:, 1:])
-    keep = np.broadcast_to(first, kept.shape)[kept].reshape(len(rows), r - 2)
+    rows = np.array(list(itertools.combinations(first.tolist(), k)), dtype=np.intp).reshape(-1, k)
+    cols = np.array(list(itertools.combinations(range(r + 1, n + 1), k)),
+                    dtype=np.intp).reshape(-1, k)
+    kept = (first != rows[:, :, None]).all(axis=1)
+    keep = np.broadcast_to(first, kept.shape)[kept].reshape(len(rows), r - k)
     shape = (len(rows), len(cols))
-    subsets = np.concatenate([np.broadcast_to(keep[:, None], shape + (r - 2,)),
-                              np.broadcast_to(cols[None], shape + (2,))], axis=-1)
-    ranks = np.zeros((r, r, n - r, n - r), dtype=np.intp)
-    ranks[rows[:, :1] - 1, rows[:, 1:] - 1, cols[:, 0] - r - 1, cols[:, 1] - r - 1] = \
-        _lex_rank(subsets, n)
+    subsets = np.concatenate([np.broadcast_to(keep[:, None], shape + (r - k,)),
+                              np.broadcast_to(cols[None], shape + (k,))], axis=-1)
+    ranks = np.zeros((r,) * k + (n - r,) * k, dtype=np.intp)
+    ranks[tuple(rows.T[:, :, None] - 1) + tuple(cols.T - r - 1)] = _lex_rank(subsets, n)
     ranks.flags.writeable = False
     return ranks
 
 
-def _minor_angles(phi: Phirotope, a, b, c, d) -> np.ndarray:
-    """The angle of ``minor_phase(phi, (a, b), (c, d))`` for each entry of
-    the arrays a < b <= r < c < d, NaN for zero, bit for bit: phi on
-    {1..r} - {a, b} + {c, d}, turned by pi where 2r - a - b - 1, the sign of
-    sorting (1..r) with c and d in places a and b, is odd."""
-    r = phi.r
-    angles = phi.angles[_minor_ranks(r, phi.n)[a - 1, b - 1, c - r - 1, d - r - 1]]
-    return np.where((a + b) % 2 == 0, _opposite(angles), angles)
+def _minor_angles(phi: Phirotope, rows, cols) -> np.ndarray:
+    """The angle of ``minor_phase(phi, H, J)``, NaN for zero, bit for bit,
+    for each entry of the broadcast index arrays rows = (h_1, ..., h_k) and
+    cols = (j_1, ..., j_k), h_1 < ... < h_k <= r < j_1 < ... < j_k, k = 1 or
+    2: phi on {1..r} - H + J, turned by pi where sorting (1..r) with each j_t
+    in place h_t is odd.  Moving j_k, then j_(k-1), ..., to the back takes
+    r - h_t - (k - t) transpositions for j_t, k r - sum(H) - k (k - 1) / 2
+    in all."""
+    r, k = phi.r, len(rows)
+    index = (*(h - 1 for h in rows), *(j - (r + 1) for j in cols))
+    angles = phi.angles[_minor_ranks(r, phi.n, k)[index]]
+    odd = (k * r - k * (k - 1) // 2 - sum(rows)) % 2 == 1
+    return np.where(odd, _opposite(angles), angles)
 
 
 def _entry_angles(phi: Phirotope) -> np.ndarray:
     """The angle of ``entry_phase(phi, i, j)`` at [i - 1, j - r - 1] for every
-    i <= r < j, NaN for zero, bit for bit: phi on {1..r} - {i} + {j}, turned
-    by pi where r - i, the sign of moving j from place i to place r, is odd."""
+    i <= r < j, NaN for zero, bit for bit: the k = 1 reading of
+    ``_minor_angles``."""
     r = phi.r
-    angles = phi.angles[_exchange_ranks(r, phi.n)]
-    odd = (r - np.arange(1, r + 1)) % 2 == 1
-    angles[odd] = _opposite(angles[odd])
-    return angles
+    return _minor_angles(phi, (np.arange(1, r + 1)[:, None],), (np.arange(r + 1, phi.n + 1),))
 
 
 def associated_bipartite_graph(phi: Phirotope) -> frozenset:
@@ -128,11 +119,10 @@ def associated_bipartite_graph(phi: Phirotope) -> frozenset:
     in B2 - B1 gives a nonzero term too, and phi(y, Y) != 0 says
     B1 - {x} + {y} is a basis.
     """
-    r, n = phi.r, phi.n
     if math.isnan(phi.angles[0]):  # {1..r} is the first basis in lex order
         raise FirstSubsetNotBasisError("{1..r} must be a basis")
-    nonzero = ~np.isnan(phi.angles[_exchange_ranks(r, n)])
-    return frozenset((i + 1, j + r + 1) for i, j in np.argwhere(nonzero).tolist())
+    nonzero = ~np.isnan(_entry_angles(phi))
+    return frozenset((i + 1, j + phi.r + 1) for i, j in np.argwhere(nonzero).tolist())
 
 
 @dataclass(frozen=True)
@@ -221,7 +211,7 @@ def _tree_targets(r: int, n: int, forest: SpanningForest) -> tuple:
     {1..r} -> 0, and {1..r}-{i}+{j} -> pi*(r-i) mod 2*pi for every forest
     edge (i, j), the value that makes entry (i, j) of a standard-form
     realization phase 1."""
-    exchange = _exchange_ranks(r, n)
+    exchange = _minor_ranks(r, n, 1)
     ranks = [0] + [exchange[i - 1, j - r - 1] for i, j in forest.edges]
     targets = [0.0] + [0.0 if (r - i) % 2 == 0 else math.pi for i, _ in forest.edges]
     return np.array(ranks, dtype=np.intp), np.array(targets)

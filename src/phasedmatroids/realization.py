@@ -106,7 +106,7 @@ def _solve_pass(phi, entries, norms, i, j, m, k):
     known = np.where(unknown1, ad * bc, ac * bd)
     solved = []
     for e, (gamma, alpha, beta, side, u1) in enumerate(zip(
-            _minor_angles(phi, a, b, c, d).tolist(), phase1.tolist(), phase2.tolist(),
+            _minor_angles(phi, (a, b), (c, d)).tolist(), phase1.tolist(), phase2.tolist(),
             known.tolist(), unknown1.tolist())):
         sides = (None, side) if u1 else (side, None)
         try:

@@ -20,11 +20,12 @@ from phasedmatroids import (
     Rephasing,
     entry_phase,
     from_matrix,
+    minor_phase,
     rephase,
     scale_global,
     verify,
 )
-from phasedmatroids.canonical import _entry_angles, is_real_valued
+from phasedmatroids.canonical import _entry_angles, _minor_angles, is_real_valued
 from phasedmatroids.cli import run
 from phasedmatroids.jsonio import phase_to_json, phirotope_from_json, phirotope_to_json
 from phasedmatroids.matrices import all_maximal_minors
@@ -138,13 +139,21 @@ def test_is_real_valued_and_verify_match_the_phase_loop(case):
 @given(case=cases())
 def test_entry_angles_are_entry_phase_bit_for_bit(case):
     """The forced entry phases that the forest, canonicalize and reconstruct
-    read as one array are ``entry_phase``, which goes through ``evaluate``."""
+    read as one array are ``entry_phase``, and the forced 2x2 minor phases
+    that the triangle passes read are ``minor_phase``; both go through
+    ``evaluate``."""
     phi, _ = case
     r, n = phi.r, phi.n
     entries = _entry_angles(phi)
     assert entries.shape == (r, n - r)
     for i, j in itertools.product(range(1, r + 1), range(r + 1, n + 1)):
         assert _same(entries.item(i - 1, j - r - 1), entry_phase(phi, i, j)), (i, j)
+    minors = [(rows, cols) for rows in itertools.combinations(range(1, r + 1), 2)
+              for cols in itertools.combinations(range(r + 1, n + 1), 2)]
+    if minors:
+        a, b, c, d = np.array([rows + cols for rows, cols in minors]).T
+        for angle, (rows, cols) in zip(_minor_angles(phi, (a, b), (c, d)).tolist(), minors):
+            assert _same(angle, minor_phase(phi, rows, cols)), (rows, cols)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -24,6 +24,7 @@ from phasedmatroids import (
     NotRealizable,
     PhasedMatroidError,
     Phirotope,
+    Realizable,
     decide_realizability,
     from_matrix,
     phirotopes,
@@ -55,10 +56,18 @@ def _rotated(m, rng, count, low=1e-3):
 
 
 def _full_sweep_decision(phi):
-    """decide_realizability with every fallback sweeping all pairs."""
-    check_gp = Phirotope.check_gp
-    with mock.patch.object(Phirotope, "check_gp", lambda self, touching=None: check_gp(self)):
-        return decide_realizability(phi)
+    """decide_realizability with its Grassmann-Pluecker gate sweeping all
+    pairs; the gate runs on every verdict but Realizable."""
+    first_violation, swept = Phirotope._first_gp_violation, []
+
+    def full_sweep(self, touching=None):
+        swept.append(touching)
+        return first_violation(self)
+
+    with mock.patch.object(Phirotope, "_first_gp_violation", full_sweep):
+        verdict = decide_realizability(phi)
+    assert isinstance(verdict, Realizable) or swept
+    return verdict
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -35,7 +35,7 @@ from phasedmatroids import (
     is_uniform,
     verify,
 )
-from phasedmatroids import jsonio, realization
+from phasedmatroids import canonical, jsonio, matrices, phirotopes, realization
 from phasedmatroids.canonical import CanonicalizationResult, minor_phase
 from phasedmatroids.errors import PhasedMatroidError
 from phasedmatroids.phases import Tolerance, triangle_solve
@@ -571,9 +571,57 @@ def test_reconstruct_matches_the_per_equation_reference_at_large_sizes():
             assert _rebuilt(reconstruct, canon) == _rebuilt(reconstruct_reference, canon)
 
 
+#: the sizes of the realize-uniform benchmark workload, copied from
+#: perfbench/inputs.py REALIZE_SIZES
+WORKLOAD_SIZES = [(2, 14), (3, 10), (3, 12), (4, 11), (4, 12), (5, 11)]
+
+
+def test_the_table_caches_hold_the_workload_size_mix():
+    """Deciding a matrix-born and a rotated input at every size of a
+    workload's cycle, a second round misses no cached table: each cache
+    holds every key one round reads."""
+    caches = [canonical._minor_ranks, matrices._bases, phirotopes._scatter_ranks,
+              phirotopes._rank_terms]
+    rng = np.random.default_rng(59)
+    inputs = []
+    for r, n in WORKLOAD_SIZES:
+        phi = from_matrix(ComplexMatrix.from_complex(
+            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))))
+        angles = phi.angles.copy()
+        k = int(rng.integers(len(angles)))
+        angles[k] = (angles[k] + 1e-3) % (2 * math.pi)
+        inputs += [phi, Phirotope._from_angles(n, r, angles, DEFAULT_TOLERANCE)]
+    for phi in inputs:
+        decide_realizability(phi)
+    misses = [cache.cache_info().misses for cache in caches]
+    for phi in inputs:
+        decide_realizability(phi)
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def _sine_rule(gamma, alpha, beta, s1, s2, guard):
+    """(s, t) with s the unknown side of s1*alpha - s2*beta = t*gamma by the
+    sine rule, turned by -gamma: s1 sin(alpha - gamma) = s2 sin(beta - gamma)
+    and t = s1 cos(alpha - gamma) - s2 cos(beta - gamma); None when the
+    denominator is below ``guard``."""
+    a, b = alpha - gamma, beta - gamma
+    if s2 is None:
+        if abs(math.sin(b)) < guard:
+            return None
+        s2 = s = s1 * math.sin(a) / math.sin(b)
+    else:
+        if abs(math.sin(a)) < guard:
+            return None
+        s1 = s = s2 * math.sin(b) / math.sin(a)
+    return s, s1 * math.cos(a) - s2 * math.cos(b)
+
+
 def test_triangle_solve_matches_the_one_equation_reference():
     """On each seeded equation ``triangle_solve`` gives the reference's bits,
-    or raises the reference's class and text."""
+    or raises the reference's class and text.  Independently of both, every
+    solved norm is the sine rule's, with t > 0, and every infeasible equation
+    has a sine-rule solution that is not positive, a denominator below the
+    determinant guard, or is equation 40, built to fail the phase check."""
     rng = np.random.default_rng(57)
     angles = rng.uniform(0.0, 2 * math.pi, size=(3, 400))
     angles[:, :40] = np.round(angles[:, :40] / (math.pi / 2)) * (math.pi / 2) % (2 * math.pi)
@@ -587,6 +635,7 @@ def test_triangle_solve_matches_the_one_equation_reference():
     for k in range(400):
         gamma, alpha, beta = angles[:, k].tolist()
         sides = (None, known.item(k)) if unknown1[k] else (known.item(k), None)
+        sine = _sine_rule(gamma, alpha, beta, *sides, tol.eps)
         try:
             lone = triangle_solve_reference(Phase(gamma), Phase(alpha), Phase(beta), *sides, tol)
         except PhasedMatroidError as exc:
@@ -594,8 +643,12 @@ def test_triangle_solve_matches_the_one_equation_reference():
             with pytest.raises(type(exc)) as got:
                 triangle_solve(gamma, alpha, beta, *sides, tol)
             assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            if isinstance(exc, InfeasibleTriangleError):
+                assert sine is None or min(sine) <= 0.0 or k == 40, (k, exc, sine)
         else:
             assert triangle_solve(gamma, alpha, beta, *sides, tol) == lone
+            assert sine is not None and sine[1] > 0.0, (k, sine)
+            assert abs(lone - sine[0]) <= 1e-12 * lone, (k, lone, sine)
     assert {type(exc).__name__ for exc in failing.values()} == {
         "DegenerateTriangleError", "InfeasibleTriangleError"}
     assert "fails phase check" in str(failing[40])
