@@ -119,10 +119,15 @@ def associated_bipartite_graph(phi: Phirotope) -> frozenset:
     in B2 - B1 gives a nonzero term too, and phi(y, Y) != 0 says
     B1 - {x} + {y} is a basis.
     """
+    nonzero = ~np.isnan(_basis_entry_angles(phi))
+    return frozenset((i + 1, j + phi.r + 1) for i, j in np.argwhere(nonzero).tolist())
+
+
+def _basis_entry_angles(phi: Phirotope) -> np.ndarray:
+    """``_entry_angles(phi)``, once {1..r} is checked to be a basis."""
     if math.isnan(phi.angles[0]):  # {1..r} is the first basis in lex order
         raise FirstSubsetNotBasisError("{1..r} must be a basis")
-    nonzero = ~np.isnan(_entry_angles(phi))
-    return frozenset((i + 1, j + phi.r + 1) for i, j in np.argwhere(nonzero).tolist())
+    return _entry_angles(phi)
 
 
 @dataclass(frozen=True)
@@ -174,9 +179,10 @@ def tree_potentials(n: int, edges, deltas, root: int) -> dict:
     return potential
 
 
-def _scan_forest(r: int, n: int, edges) -> SpanningForest:
+def _scan_forest(r: int, n: int, nonzero: np.ndarray) -> SpanningForest:
     """Deterministic greedy spanning forest of the bipartite graph on rows
-    1..r and columns r+1..n whose edges (i, j) are the members of ``edges``.
+    1..r and columns r+1..n with an edge (i, j) wherever the r x (n - r)
+    boolean array ``nonzero`` holds True at [i - 1, j - r - 1].
 
     A scan of columns in ascending order (rows bottom-to-top within a column)
     adds every edge that does not close a cycle.  Each row's edge to its
@@ -185,14 +191,15 @@ def _scan_forest(r: int, n: int, edges) -> SpanningForest:
     components.
     """
     uf = _UnionFind(n + 1)
-    chosen = [(i, j) for j in range(r + 1, n + 1) for i in range(r, 0, -1)
-              if (i, j) in edges and uf.union(i, j)]
+    # [column, row counted from the bottom] in lex order is the scan order
+    chosen = [(r - i, r + 1 + j) for j, i in np.argwhere(nonzero[::-1].T).tolist()
+              if uf.union(r - i, r + 1 + j)]
     return SpanningForest(tuple(sorted(chosen)), n - len(chosen))
 
 
 def canonical_spanning_forest(phi: Phirotope) -> SpanningForest:
     """The greedy scan forest (``_scan_forest``) of phi's associated bipartite graph."""
-    return _scan_forest(phi.r, phi.n, associated_bipartite_graph(phi))
+    return _scan_forest(phi.r, phi.n, ~np.isnan(_basis_entry_angles(phi)))
 
 
 @dataclass(frozen=True)
@@ -234,14 +241,14 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     (direct sums are rejected).
     """
     r, n = phi.r, phi.n
-    forest = canonical_spanning_forest(phi)
+    entries = _basis_entry_angles(phi)
+    forest = _scan_forest(r, n, ~np.isnan(entries))
     if forest.component_count != 1:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")
 
     first_angle = phi.angles.item(0)  # the value on {1..r}
     # tree edge (i, j) forces rho[j] - rho[i] = ang(phi(1..r)) - ang(entry_phase)
-    entries = _entry_angles(phi)
     deltas = [first_angle - entries.item(i - 1, j - r - 1) for (i, j) in forest.edges]
     rho_angle = tree_potentials(n, forest.edges, deltas, min(r + 1, n))
     rho = Rephasing(tuple(Phase.from_angle(rho_angle[k]) for k in range(1, n + 1)))

@@ -7,6 +7,7 @@ and zero matrix entries serialize as ``null``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -18,9 +19,9 @@ import numpy as np
 
 from .canonical import CanonicalizationResult, SpanningForest
 from .errors import PhasedMatroidError
-from .matrices import ComplexMatrix, _is_integer
+from .matrices import ComplexMatrix, _bases, _is_integer
 from .phases import Phase, Tolerance, _normalize_array
-from .phirotopes import Phirotope, Rephasing, _in_lex_order, _lex_rank
+from .phirotopes import Phirotope, Rephasing, _in_lex_order
 from .realization import (
     NotRealizable,
     Realizable,
@@ -137,26 +138,20 @@ def phirotope_from_json(obj: Any, tolerance: Tolerance) -> Phirotope:
 def _value_angles(items: list, n: int, r: int) -> np.ndarray:
     """The angles of the value records in lex order of their bases, normalized.
 
-    The records are checked as whole lists (``_checked_records``), and a
-    list with each sorted r-subset once, C(n, r) records, is scattered into
-    place by lex rank.  Any other list is walked one record at a time
-    (``_walk_records``), so that the first faulty record or repeated basis in
-    document order names the :class:`FormatError`, and then listed by
-    ``phirotopes._in_lex_order``, the mapping constructor's completeness
-    rule, whose refusal of a short list or a missing basis becomes one.
+    A list that holds every sorted r-subset once, in lex order, as
+    ``phirotope_to_json`` writes it, and whose records pass the checks of
+    ``_walk_records``, is read as a whole (``_lex_values``).  Any other list
+    is walked one record at a time (``_walk_records``), so that the first
+    faulty record or repeated basis in document order names the
+    :class:`FormatError`, and then listed by ``phirotopes._in_lex_order``,
+    the mapping constructor's completeness rule, whose refusal of a short
+    list, a missing basis or a misplaced one becomes one.
     """
-    records = _checked_records(items, n, r)
-    if records is not None and len(items) >= (n if r < n else 1):
-        total = math.comb(n, r)
-        if len(items) == total:
-            bases, values = records
-            ranks = _lex_rank(bases, n)
-            seen = np.zeros(total, dtype=bool)
-            seen[ranks] = True
-            if seen.all():  # each basis once
-                angles = np.empty(total)
-                angles[ranks] = values
-                return _normalize_array(angles)
+    # C(n, r) >= n for r < n: a shorter list is walked before C(n, r) is computed
+    if len(items) >= (n if r < n else 1) and len(items) == math.comb(n, r):
+        values = _lex_values(items, n, r)
+        if values is not None:
+            return _normalize_array(values)
     walked = _walk_records(items, n, r)
     try:
         return _normalize_array(np.array(_in_lex_order(n, r, walked)))
@@ -164,12 +159,10 @@ def _value_angles(items: list, n: int, r: int) -> np.ndarray:
         raise FormatError(str(exc)) from exc
 
 
-def _checked_records(items: list, n: int, r: int):
-    """(bases, values) when every record passes the checks of
-    ``_walk_records`` but the duplicate test, else None: bases as an integer
-    array with one row per record, values the ``angle_over_pi`` times pi of
-    each, NaN for a null phase.  None also when n exceeds the integer array's
-    range and some basis element does; such a list is shorter than n."""
+def _lex_values(items: list, n: int, r: int):
+    """The ``angle_over_pi`` times pi of each record, NaN for a null phase,
+    when the records pass the checks of ``_walk_records`` and their bases
+    are the sorted r-subsets of [n] in lex order, else None."""
     # a dict with as many entries as keys asked for, all of them present, has no others
     if not (_all_types(items, dict) and set(map(len, items)) <= {2}):
         return None
@@ -178,16 +171,9 @@ def _checked_records(items: list, n: int, r: int):
         phases = list(map(operator.itemgetter("phase"), items))
     except KeyError:
         return None
-    if not (_all_types(bases, list) and set(map(len, bases)) <= {r}
+    # == alone would also take an array for a list, and 1.0 or True for 1
+    if not (_all_types(bases, list) and bases == _basis_lists(n, r)
             and _all_types(itertools.chain.from_iterable(bases), (int, np.integer), bool)):
-        return None
-    try:
-        bases = np.fromiter(itertools.chain.from_iterable(bases), dtype=np.int64,
-                            count=len(items) * r).reshape(len(items), r)
-    except OverflowError:
-        return None
-    if not ((bases[:, 1:] > bases[:, :-1]).all()  # sorted, no repeats
-            and (bases[:, 0] >= 1).all() and (bases[:, -1] <= n).all()):
         return None
     given = np.fromiter(map(operator.is_not, phases, itertools.repeat(None)), dtype=bool,
                         count=len(items))
@@ -210,7 +196,13 @@ def _checked_records(items: list, n: int, r: int):
         return None
     values = np.full(len(items), math.nan)
     values[given] = angles
-    return bases, values
+    return values
+
+
+@functools.lru_cache(maxsize=8)
+def _basis_lists(n: int, r: int) -> list:
+    """``_bases(n, r)`` as lists, built once per size; not to be changed."""
+    return _bases(n, r).tolist()
 
 
 def _all_types(objects, kinds, but=()) -> bool:

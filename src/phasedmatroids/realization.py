@@ -268,8 +268,7 @@ def normalize_to_tree(m: ComplexMatrix, values: Sequence[float]) -> ComplexMatri
     for i, k in np.argwhere(m.norms[:, :r] != 0.0) + 1:
         if i != k:
             raise ValueError(f"columns 1..{r} must be diagonal, but entry ({i}, {k}) is nonzero")
-    forest = _scan_forest(r, n, {(i, j) for i in range(1, r + 1) for j in range(r + 1, n + 1)
-                                 if m.norms[i - 1, j - 1] != 0.0})
+    forest = _scan_forest(r, n, m.norms[:, r:] != 0.0)
     values = list(values)
     if len(values) != len(forest.edges):
         raise ValueError(f"need {len(forest.edges)} values, one per forest edge, got {len(values)}")

@@ -46,12 +46,12 @@ def _gaussian(rng, r, n):
     return ComplexMatrix.from_complex(rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))
 
 
-def _rotated(m, rng, count, low=1e-3):
+def _rotated(m, rng, count, low=1e-3, high=math.pi):
     """The phirotope of m with ``count`` distinct values rotated by an angle in
-    [low, pi]."""
+    [low, high]."""
     angles = minor_phases(m)
     picks = rng.choice(len(angles), size=min(count, len(angles)), replace=False)
-    angles[picks] = np.fmod(angles[picks] + rng.uniform(low, math.pi, size=len(picks)), TAU)
+    angles[picks] = np.fmod(angles[picks] + rng.uniform(low, high, size=len(picks)), TAU)
     return Phirotope._from_angles(m.cols, m.rows, angles, DEFAULT_TOLERANCE)
 
 
@@ -85,6 +85,25 @@ def test_restricted_sweep_gives_the_full_sweep_list(size, seed, count):
     if isinstance(verdict, NotRealizable) and verdict.witness is not None:
         assert phi.check_gp(verdict.witness.disagreeing) == full
     assert dumps(verdict_to_json(verdict)) == dumps(verdict_to_json(_full_sweep_decision(phi)))
+
+
+def test_restricted_sweep_gives_the_full_sweep_list_on_not_realizable():
+    """The companion that reaches the NotRealizable branch: one value rotated
+    by an angle in [1e-3, 1e-2] mostly leaves a phirotope that no matrix
+    realizes (120 of these 140 draws), decided by a sweep of the relations
+    through the witness's disagreeing bases alone."""
+    rng = np.random.default_rng(54)
+    reached = set()
+    for r, n in [(2, 5), (2, 6), (3, 6), (3, 7), (3, 8), (4, 8), (4, 10)]:
+        for _ in range(20):
+            phi = _rotated(_gaussian(rng, r, n), rng, 1, high=1e-2)
+            verdict = decide_realizability(phi)
+            if isinstance(verdict, NotRealizable) and verdict.witness is not None:
+                reached.add((r, n))
+                assert phi.check_gp(verdict.witness.disagreeing) == phi.check_gp()
+                assert (dumps(verdict_to_json(verdict))
+                        == dumps(verdict_to_json(_full_sweep_decision(phi))))
+    assert len(reached) == 7
 
 
 def test_witness_marks_every_disagreeing_basis():

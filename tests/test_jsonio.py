@@ -241,15 +241,19 @@ FAULTS = ["basis element", "unsorted", "basis length", "basis type", "duplicate"
 
 @st.composite
 def _value_documents(draw):
-    """A phirotope document with shuffled records and some null phases, and
-    faults at up to three of its records."""
+    """A phirotope document with its records in lex, reversed or shuffled
+    order and some null phases, and faults at up to three of its records."""
     r = draw(st.integers(1, 3))
     n = draw(st.integers(r, 6))
     number = st.one_of(st.floats(-8, 8, allow_nan=False), st.integers(-9, 9), st.just(-0.0))
     records = [{"basis": list(b), "phase": draw(st.one_of(st.none(), st.builds(
         lambda x: {"angle_over_pi": x}, number)))}
         for b in itertools.combinations(range(1, n + 1), r)]
-    records = draw(st.permutations(records))
+    order = draw(st.sampled_from(["lex", "reversed", "shuffled"]))
+    if order == "reversed":
+        records.reverse()
+    elif order == "shuffled":
+        records = draw(st.permutations(records))
     faulty = draw(st.sets(st.integers(0, len(records) - 1), max_size=3))
     for k in sorted(faulty, reverse=True):  # so that a deleted record moves no other
         _mutate(records, draw(st.sampled_from(FAULTS)), k, n, r, draw)
@@ -260,6 +264,48 @@ def _value_documents(draw):
 @settings(max_examples=300, deadline=None)
 def test_parse_matches_the_per_record_reference(doc):
     _same_parse(doc)
+
+
+def test_only_documents_in_lex_order_are_walked(monkeypatch):
+    """A document as ``phirotope_to_json`` writes it is read as a whole list,
+    the same records reversed one record at a time, to the same angles; the
+    subset lists the whole-list read compares with are built once per size."""
+    from phasedmatroids import jsonio
+    walked = []
+
+    def counted(items, n, r, _original=jsonio._walk_records):
+        walked.append((n, r))
+        return _original(items, n, r)
+
+    monkeypatch.setattr(jsonio, "_walk_records", counted)
+    rng = np.random.default_rng(56)
+    docs = []
+    # the realize-uniform sizes of perfbench/inputs.py, and (4, 14)
+    for r, n in [(2, 14), (3, 10), (3, 12), (4, 11), (4, 12), (5, 11), (4, 14)]:
+        m = ComplexMatrix.from_complex(rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n)))
+        docs.append(json.loads(json.dumps(phirotope_to_json(from_matrix(m)))))
+        lex = phirotope_from_json(docs[-1], DEFAULT_TOLERANCE)
+        assert walked == []
+        reversed_values = docs[-1]["values"][::-1]
+        back = phirotope_from_json(dict(docs[-1], values=reversed_values), DEFAULT_TOLERANCE)
+        assert walked == [(n, r)]
+        assert back.angles.tobytes() == lex.angles.tobytes()
+        walked.clear()
+    misses = jsonio._basis_lists.cache_info().misses
+    for doc in docs:
+        phirotope_from_json(doc, DEFAULT_TOLERANCE)
+    assert jsonio._basis_lists.cache_info().misses == misses
+
+
+def test_parse_refuses_bases_that_only_compare_equal_to_lists():
+    """An array basis equals a list element by element, but only a list is a
+    basis: refused as by the per-record reference, at r = 1 as at r = 2."""
+    for n, r in [(3, 1), (4, 2)]:
+        doc = phirotope_to_json(from_matrix(ComplexMatrix.from_complex(
+            np.random.default_rng(57).normal(size=(r, n)) + 1j)))
+        for record in doc["values"]:
+            record["basis"] = np.array(record["basis"])
+        assert _same_parse(doc)[0] == "FormatError"
 
 
 def test_parse_reference_cases():

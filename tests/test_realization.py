@@ -140,21 +140,26 @@ def test_decide_invalid_phirotope():
 
 
 def test_decide_builds_the_graph_and_forest_once(monkeypatch):
-    """The canonical tree is derived once per decision: reconstruct takes
-    canonicalize's result and does not rebuild the tree to re-check it."""
-    from phasedmatroids import canonical
+    """The canonical tree is derived once per decision: canonicalize reads
+    the entry table of phi once, for the graph and the tree deltas, and
+    reconstruct takes its result without rebuilding the tree to re-check it."""
     calls = []
-    for name in ("associated_bipartite_graph", "canonical_spanning_forest"):
-        def counted(phi, _name=name, _original=getattr(canonical, name)):
-            calls.append(_name)
-            return _original(phi)
-        monkeypatch.setattr(canonical, name, counted)
+    for name in ("_entry_angles", "_scan_forest"):
+        def counted(*args, _name=name, _original=getattr(canonical, name)):
+            calls.append((_name, args[0]))
+            return _original(*args)
+        for module in (canonical, realization):
+            monkeypatch.setattr(module, name, counted)
     rng = np.random.default_rng(49)
     phi = from_matrix(ComplexMatrix.from_complex(
         rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))))
     assert is_uniform(phi)
-    assert isinstance(decide_realizability(phi), Realizable)
-    assert sorted(calls) == ["associated_bipartite_graph", "canonical_spanning_forest"]
+    verdict = decide_realizability(phi)
+    assert isinstance(verdict, Realizable)
+    assert [name for name, _ in calls] == ["_entry_angles", "_scan_forest", "_entry_angles"]
+    # phi in canonicalize, then the canonical phirotope in reconstruct
+    assert calls[0][1] is phi
+    assert calls[2][1].angles.tobytes() == canonicalize(phi).canonical.angles.tobytes()
 
 
 def test_reconstruct_pass1_only():
