@@ -119,15 +119,15 @@ def associated_bipartite_graph(phi: Phirotope) -> frozenset:
     in B2 - B1 gives a nonzero term too, and phi(y, Y) != 0 says
     B1 - {x} + {y} is a basis.
     """
-    nonzero = ~np.isnan(_basis_entry_angles(phi))
-    return frozenset((i + 1, j + phi.r + 1) for i, j in np.argwhere(nonzero).tolist())
+    return frozenset((i + 1, j + phi.r + 1) for i, j in np.argwhere(_entry_table(phi)[1]).tolist())
 
 
-def _basis_entry_angles(phi: Phirotope) -> np.ndarray:
-    """``_entry_angles(phi)``, once {1..r} is checked to be a basis."""
+def _entry_table(phi: Phirotope) -> tuple:
+    """``_entry_angles(phi)`` and its nonzero mask, once {1..r} is checked to be a basis."""
     if math.isnan(phi.angles[0]):  # {1..r} is the first basis in lex order
         raise FirstSubsetNotBasisError("{1..r} must be a basis")
-    return _entry_angles(phi)
+    entries = _entry_angles(phi)
+    return entries, ~np.isnan(entries)
 
 
 @dataclass(frozen=True)
@@ -181,17 +181,15 @@ def tree_potentials(n: int, edges, deltas, root: int) -> dict:
 
 def _scan_forest(r: int, n: int, nonzero: np.ndarray) -> SpanningForest:
     """Deterministic greedy spanning forest of the bipartite graph on rows
-    1..r and columns r+1..n with an edge (i, j) wherever the r x (n - r)
-    boolean array ``nonzero`` holds True at [i - 1, j - r - 1].
+    1..r and columns r+1..n with an edge (i, j) where ``nonzero[i - 1, j - r - 1]``.
 
-    A scan of columns in ascending order (rows bottom-to-top within a column)
-    adds every edge that does not close a cycle.  Each row's edge to its
-    smallest incident column is always added, since the scan reaches it while
-    the row is still isolated.  A forest on n vertices has n - |edges|
-    components.
+    A scan of columns in ascending order, rows bottom-to-top within a column
+    (``nonzero`` flipped and transposed, in row-major order), adds every edge
+    that does not close a cycle.  Each row's edge to its smallest incident
+    column is always added, since the scan reaches it while the row is still
+    isolated.  A forest on n vertices has n - |edges| components.
     """
     uf = _UnionFind(n + 1)
-    # [column, row counted from the bottom] in lex order is the scan order
     chosen = [(r - i, r + 1 + j) for j, i in np.argwhere(nonzero[::-1].T).tolist()
               if uf.union(r - i, r + 1 + j)]
     return SpanningForest(tuple(sorted(chosen)), n - len(chosen))
@@ -199,7 +197,7 @@ def _scan_forest(r: int, n: int, nonzero: np.ndarray) -> SpanningForest:
 
 def canonical_spanning_forest(phi: Phirotope) -> SpanningForest:
     """The greedy scan forest (``_scan_forest``) of phi's associated bipartite graph."""
-    return _scan_forest(phi.r, phi.n, ~np.isnan(_basis_entry_angles(phi)))
+    return _scan_forest(phi.r, phi.n, _entry_table(phi)[1])
 
 
 @dataclass(frozen=True)
@@ -241,8 +239,8 @@ def canonicalize(phi: Phirotope) -> CanonicalizationResult:
     (direct sums are rejected).
     """
     r, n = phi.r, phi.n
-    entries = _basis_entry_angles(phi)
-    forest = _scan_forest(r, n, ~np.isnan(entries))
+    entries, nonzero = _entry_table(phi)
+    forest = _scan_forest(r, n, nonzero)
     if forest.component_count != 1:
         raise DisconnectedGraphError(
             f"associated bipartite graph has {forest.component_count} components")

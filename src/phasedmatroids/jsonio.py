@@ -171,8 +171,10 @@ def _lex_values(items: list, n: int, r: int):
         phases = list(map(operator.itemgetter("phase"), items))
     except KeyError:
         return None
-    # == alone would also take an array for a list, and 1.0 or True for 1
-    if not (_all_types(bases, list) and bases == _basis_lists(n, r)
+    # == alone would also take an array for a list, and 1.0 or True for 1; the
+    # length check first keeps the table no larger than the bases given
+    if not (_all_types(bases, list) and set(map(len, bases)) <= {r}
+            and bases == _basis_lists(n, r)
             and _all_types(itertools.chain.from_iterable(bases), (int, np.integer), bool)):
         return None
     given = np.fromiter(map(operator.is_not, phases, itertools.repeat(None)), dtype=bool,

@@ -22,6 +22,7 @@ from phasedmatroids import (
     from_matrix,
     reconstruct,
 )
+from phasedmatroids import jsonio
 from phasedmatroids.jsonio import (
     FormatError,
     matrix_from_json,
@@ -270,7 +271,6 @@ def test_only_documents_in_lex_order_are_walked(monkeypatch):
     """A document as ``phirotope_to_json`` writes it is read as a whole list,
     the same records reversed one record at a time, to the same angles; the
     subset lists the whole-list read compares with are built once per size."""
-    from phasedmatroids import jsonio
     walked = []
 
     def counted(items, n, r, _original=jsonio._walk_records):
@@ -334,6 +334,13 @@ def test_parse_reference_cases():
                                   "every sorted r-subset must appear exactly once")
     short["values"][1]["basis"] = [1, 2]  # a repeat comes before the count
     assert _same_parse(short)[1] == "basis [1, 2] appears twice"
+    # a list of C(n, r) short bases is refused before any subset table is built
+    misses = jsonio._basis_lists.cache_info().misses
+    for n, r in ((10**30, 10**30), (300, 299)):
+        tall = {"n": n, "r": r, "values": [{"basis": [1], "phase": None}] * math.comb(n, r)}
+        assert _same_parse(tall) == (
+            "FormatError", f"bad basis [1]: need a sorted {r}-subset of [1, {n}]")
+    assert jsonio._basis_lists.cache_info().misses == misses
     cases = [  # (record, change) on a copy of doc's records
         (0, lambda v: v[0]["basis"].__setitem__(1, True)),
         (4, lambda v: v[4]["basis"].__setitem__(0, 1.0)),
