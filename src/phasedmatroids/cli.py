@@ -124,7 +124,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on the first call and kept for the
+    process, since parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="phasedmatroids",
         description="Phased-matroid validation, canonicalization and realizability.")
@@ -135,13 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="angular tolerance in radians (default %(default)g)")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``run`` uses: ``build_parser()``, built on the first call
-    and kept for the process, since parsing does not change it."""
-    return build_parser()
 
 
 def _execute(args) -> tuple[dict, int]:

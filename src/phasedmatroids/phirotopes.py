@@ -58,25 +58,14 @@ MAX_MATRIX_MINORS = 2**16
 
 
 def sort_with_sign(indices: Sequence[int]):
-    """Sort a tuple and return (sorted tuple, sign of the sorting permutation).
-
-    The sign is computed by insertion-sort inversion counting; repeated
-    entries return sign 0.
+    """Sort a tuple and return (sorted tuple, sign of the sorting permutation):
+    the parity of the inversion count; repeated entries return sign 0.
     """
-    items = list(indices)
-    inversions = 0
-    for k in range(1, len(items)):
-        x = items[k]
-        j = k - 1
-        while j >= 0 and items[j] > x:
-            items[j + 1] = items[j]
-            j -= 1
-            inversions += 1
-        items[j + 1] = x
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return tuple(items), 0
-    return tuple(items), (-1) ** (inversions % 2)
+    items = tuple(indices)
+    srt = tuple(sorted(items))
+    if any(a == b for a, b in zip(srt, srt[1:])):
+        return srt, 0
+    return srt, (-1) ** (sum(x > y for x, y in itertools.combinations(items, 2)) % 2)
 
 
 def _lex_rank(subsets: np.ndarray, n: int) -> np.ndarray:

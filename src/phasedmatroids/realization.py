@@ -89,43 +89,15 @@ class Unsupported:
 RealizabilityVerdict = Union[Realizable, NotRealizable, Unsupported]
 
 
-def _solve_pass(phi, entries, norms, i, j, m, k):
-    """Solve for the norm at each 1-based (i, j) of one pass from the 2x2
-    minor on rows {i, m} and columns {j, k}, whose other three norms are
-    known, one ``triangle_solve`` per equation in row-major order; the
-    solutions are written into ``norms``.  ``entries`` holds the entry
-    angles of ``_entry_angles``."""
-    a, b = np.minimum(i, m), np.maximum(i, m)
-    c, d = np.minimum(j, k), np.maximum(j, k)
-    rows, cols = np.array([a, a, b, b]) - 1, np.array([c, d, d, c]) - 1
-    ac, ad, bd, bc = norms[rows, cols]
-    # the phases of the products ac*bd and ad*bc of entries, as Phase products
-    phase1, phase2 = _normalize_array(entries[rows[:2], cols[:2] - phi.r]
-                                      + entries[rows[2:], cols[2:] - phi.r])
-    unknown1 = (i == a) == (j == c)  # (i, j) is (a, c) or (b, d): s1 is unknown
-    known = np.where(unknown1, ad * bc, ac * bd)
-    solved = []
-    for e, (gamma, alpha, beta, side, u1) in enumerate(zip(
-            _minor_angles(phi, (a, b), (c, d)).tolist(), phase1.tolist(), phase2.tolist(),
-            known.tolist(), unknown1.tolist())):
-        sides = (None, side) if u1 else (side, None)
-        try:
-            solved.append(triangle_solve(gamma, alpha, beta, *sides, phi.tolerance))
-        except InfeasibleTriangleError as exc:
-            raise InfeasibleTriangleError(
-                f"minor rows {{{a[e]},{b[e]}}} cols {{{c[e]},{d[e]}}}: {exc}") from exc
-    norms[i - 1, j - 1] = np.array(solved) / norms[m - 1, k - 1]  # over the opposite corner
-
-
 def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
     """Rebuild the canonical realization (I|N) of uniform ``canon.canonical``.
 
     Entry phases come straight from the phirotope; tree norms are 1; the rest
     are solved in four passes of triangular equations, each against an
-    anchor built from non-real entries.  The equations of a pass read only
-    norms of earlier passes, so each pass gathers its inputs at once and
-    solves its equations one at a time, in row-major order.  Phases are
-    judged within ``canon.canonical.tolerance``.  Raises
+    anchor built from non-real entries.  An equation reads only norms of
+    earlier passes, so the phases of every equation are gathered at once and
+    the equations are solved one at a time, by pass and then in row-major
+    order.  Phases are judged within ``canon.canonical.tolerance``.  Raises
     :class:`NotCanonicalError` unless it is uniform and pinned on
     ``canon.forest``, :class:`EssentiallyOrientedError` if some entry needs
     pass 4 and no non-real entry exists, and :class:`InfeasibleTriangleError`
@@ -159,10 +131,31 @@ def reconstruct(canon: CanonicalizationResult) -> ComplexMatrix:
         passes = np.where(non_real, 1, np.where(in_row, 2, np.where(in_col, 3, 4)))
         m = np.where(passes <= 2, r, np.where(passes == 3, col_anchor, first[0] + 1))
         k = np.where(passes % 2 == 1, r + 1, np.where(passes == 2, row_anchor, first[1] + r + 2))
-        for step in np.flatnonzero(np.bincount(passes.ravel(), minlength=5)):
-            on = passes == step
-            i, j = np.nonzero(on)
-            _solve_pass(canonical, entries, norms, i + 1, j + r + 2, m[on], k[on])
+        order = np.argsort(passes, axis=None, kind="stable")  # by pass, then row-major
+        i, j = np.unravel_index(order, passes.shape)
+        i, j, m, k = i + 1, j + r + 2, m.flat[order], k.flat[order]
+        a, b = np.minimum(i, m), np.maximum(i, m)
+        c, d = np.minimum(j, k), np.maximum(j, k)
+        rows, cols = np.array([a, a, b, b]) - 1, np.array([c, d, d, c]) - r - 1
+        # the phases of the products ac*bd and ad*bc of entries, as Phase products
+        phase1, phase2 = _normalize_array(entries[rows[:2], cols[:2]] + entries[rows[2:], cols[2:]])
+        gammas = _minor_angles(canonical, (a, b), (c, d))
+        table = norms.tolist()
+        for row, col, top, bottom, left, right, gamma, alpha, beta in zip(
+                *np.array([i, j, a, b, c, d]).tolist(), gammas.tolist(), phase1.tolist(),
+                phase2.tolist()):
+            if (row == top) == (col == left):  # (row, col) is (a, c) or (b, d): s1 unknown
+                sides = None, table[top - 1][right - 1] * table[bottom - 1][left - 1]
+            else:
+                sides = table[top - 1][left - 1] * table[bottom - 1][right - 1], None
+            try:
+                solved = triangle_solve(gamma, alpha, beta, *sides, canonical.tolerance)
+            except InfeasibleTriangleError as exc:
+                raise InfeasibleTriangleError(
+                    f"minor rows {{{top},{bottom}}} cols {{{left},{right}}}: {exc}") from exc
+            # over the opposite corner (m, k) = (a + b - i, c + d - j)
+            table[row - 1][col - 1] = solved / table[top + bottom - row - 1][left + right - col - 1]
+        norms = np.array(table)
 
     angles = np.zeros((r, n))
     angles[:, r:] = entries

@@ -494,7 +494,7 @@ def test_verdicts_change_only_from_not_a_phirotope_to_verified_realizable():
     assert changed["near-real"] >= 5
 
 
-# The pass-at-a-time reconstruction against the per-equation reference, and
+# The batched reconstruction against the per-equation reference, and
 # the exact rank-2 decision as an independent check of its verdicts.
 
 def _rebuilt(rebuild, canon):
@@ -576,32 +576,59 @@ def test_reconstruct_matches_the_per_equation_reference_at_large_sizes():
             assert _rebuilt(reconstruct, canon) == _rebuilt(reconstruct_reference, canon)
 
 
-#: the sizes of the realize-uniform benchmark workload, copied from
-#: perfbench/inputs.py REALIZE_SIZES
-WORKLOAD_SIZES = [(2, 14), (3, 10), (3, 12), (4, 11), (4, 12), (5, 11)]
-
-
-def test_the_table_caches_hold_the_workload_size_mix():
-    """Deciding a matrix-born and a rotated input at every size of a
-    workload's cycle, a second round misses no cached table: each cache
-    holds every key one round reads."""
-    caches = [canonical._minor_ranks, matrices._bases, phirotopes._scatter_ranks,
-              phirotopes._rank_terms]
-    rng = np.random.default_rng(59)
-    inputs = []
-    for r, n in WORKLOAD_SIZES:
-        phi = from_matrix(ComplexMatrix.from_complex(
-            rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))))
+def test_reconstruct_names_the_first_infeasible_equation_of_every_pass():
+    """Standard-form matrices whose free entries are half real, with one value
+    rotated: reconstruct matches the per-equation reference, and the first
+    infeasible equation falls in pass 2, 3 and 4 at least once each, as told
+    by the minor it names (row r and column r + 1 mark pass 1)."""
+    rng = np.random.default_rng(61)
+    failing = set()
+    for _ in range(600):
+        r = int(rng.integers(3, 5))
+        n = int(rng.integers(r + 3, r + 6))
+        free = rng.normal(size=(r, n - r)) + 1j * rng.normal(size=(r, n - r))
+        real = rng.random((r, n - r)) < 0.5
+        free[real] = free[real].real
+        free[:, 0] = free[-1] = 1.0
+        phi = from_matrix(ComplexMatrix.from_complex(np.hstack([np.eye(r), free])))
         angles = phi.angles.copy()
         k = int(rng.integers(len(angles)))
-        angles[k] = (angles[k] + 1e-3) % (2 * math.pi)
-        inputs += [phi, Phirotope._from_angles(n, r, angles, DEFAULT_TOLERANCE)]
-    for phi in inputs:
-        decide_realizability(phi)
-    misses = [cache.cache_info().misses for cache in caches]
-    for phi in inputs:
-        decide_realizability(phi)
-    assert [cache.cache_info().misses for cache in caches] == misses
+        angles[k] = (angles[k] + rng.uniform(0.05, 0.5)) % (2 * math.pi)
+        canon = canonicalize(Phirotope._from_angles(n, r, angles, DEFAULT_TOLERANCE))
+        got = _rebuilt(reconstruct, canon)
+        assert got == _rebuilt(reconstruct_reference, canon)
+        if got[0] == "InfeasibleTriangleError":
+            rows, cols = re.match(r"minor rows \{(.*)\} cols \{(.*)\}: ", got[1]).groups()
+            on_row = str(r) in rows.split(",")
+            on_col = str(r + 1) in cols.split(",")
+            failing.add(1 if on_row and on_col else 2 if on_row else 3 if on_col else 4)
+    assert {2, 3, 4} <= failing
+
+
+def test_the_table_caches_hold_the_workload_size_mix(monkeypatch, tmp_path):
+    """Replaying the seed-1 cycle of each benchmark workload through ``run``,
+    a second round misses no cached table: each cache holds every key one
+    round reads."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+    import inputs
+
+    caches = [matrices._bases, phirotopes._rank_terms, phirotopes._scatter_ranks,
+              canonical._minor_ranks, jsonio._basis_lists]
+    for workload in inputs.WORKLOADS:
+        instances, cycle = inputs.build(workload, 1)
+        requests = []
+        for req in cycle:
+            inst = instances[req.instance]
+            path = tmp_path / f"{workload}-{req.instance}-{req.reads_matrix}.json"
+            path.write_text(json.dumps(inst.matrix_doc() if req.reads_matrix
+                                       else inst.phirotope_doc()))
+            requests.append([req.command, "--input", str(path)])
+        misses = []
+        for _ in range(2):
+            for argv in requests:
+                run(argv)
+            misses.append([cache.cache_info().misses for cache in caches])
+        assert misses[1] == misses[0], workload
 
 
 def _sine_rule(gamma, alpha, beta, s1, s2, guard):
